@@ -96,7 +96,8 @@ storage::DeltaShard::MergeResult Cluster::RunMerge(
   return res;
 }
 
-Result<size_t> Cluster::RefreshColumnar(const std::string& name) {
+Result<size_t> Cluster::RefreshColumnar(const std::string& name,
+                                        SimTime arrival) {
   if (!IsColumnar(name)) {
     return Status::NotFound("no columnar copy registered for " + name);
   }
@@ -104,7 +105,9 @@ Result<size_t> Cluster::RefreshColumnar(const std::string& name) {
   for (size_t i = 0; i < dns_.size(); ++i) {
     auto shard = dns_[i]->GetColumnarShard(name);
     if (shard == nullptr) continue;
-    if (RunMerge(static_cast<int>(i), shard, name, 0).changed()) ++merged;
+    if (RunMerge(static_cast<int>(i), shard, name, arrival).changed()) {
+      ++merged;
+    }
   }
   if (merged > 0) {
     metrics_.Add("columnar.refreshes", static_cast<int64_t>(merged));
@@ -136,6 +139,11 @@ void Cluster::NoteColumnarWrite(int dn, const std::string& table, SimTime now) {
 void Cluster::WaitForMerges() {
   std::unique_lock lock(merge_wait_mu_);
   merge_cv_.wait(lock, [this] { return merges_inflight_ == 0; });
+}
+
+bool Cluster::MergesInFlight() const {
+  std::lock_guard lock(merge_wait_mu_);
+  return merges_inflight_ > 0;
 }
 
 Cluster::~Cluster() { WaitForMerges(); }

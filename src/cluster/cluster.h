@@ -171,8 +171,9 @@ class Cluster {
   /// returns how many shards changed (counted in the columnar.refreshes
   /// metric). NotFound when no columnar copy is registered. With auto
   /// merge on, background merges already bound tail growth; this is the
-  /// deterministic "make the tail short now" hook.
-  Result<size_t> RefreshColumnar(const std::string& name);
+  /// deterministic "make the tail short now" hook. The merge work is
+  /// charged on each DN as a request arriving at `arrival`.
+  Result<size_t> RefreshColumnar(const std::string& name, SimTime arrival = 0);
 
   // --- Delta-merge policy (see storage/delta_store.h) ------------------------
   /// Tail size at which a write schedules a background merge of that shard
@@ -190,6 +191,10 @@ class Cluster {
   /// Blocks until every scheduled background merge has completed (tests,
   /// benches, and the destructor).
   void WaitForMerges();
+  /// True while a background merge is queued or running. Its charge arrives
+  /// at the triggering write's time, so the scheduler must not be trimmed
+  /// past that write until this turns false.
+  bool MergesInFlight() const;
 
   ~Cluster();
   /// True when `name` has a columnar copy registered (on DN 0, which implies
@@ -358,7 +363,7 @@ class Cluster {
   std::unordered_map<std::string, int> indexed_tables_;
   size_t delta_merge_threshold_ = 4096;
   bool auto_merge_ = true;
-  std::mutex merge_wait_mu_;
+  mutable std::mutex merge_wait_mu_;
   std::condition_variable merge_cv_;
   int merges_inflight_ = 0;  // guarded by merge_wait_mu_
   std::vector<bool> down_;

@@ -649,10 +649,12 @@ std::string AggListToString(const std::vector<std::string>& group_by,
 /// per-resource charge order is preserved — which the frontier guarantees.
 class DistPlanExecutor {
  public:
-  DistPlanExecutor(Cluster* cluster, const DistExecOptions& opts)
+  DistPlanExecutor(Cluster* cluster, const DistExecOptions& opts,
+                   SimTime start)
       : cluster_(cluster),
         opts_(opts),
-        batch_rows_(opts.batch_rows == 0 ? 1 : opts.batch_rows) {}
+        batch_rows_(opts.batch_rows == 0 ? 1 : opts.batch_rows),
+        start_(start) {}
 
   Result<DistPlanResult> Run(const DistOpPtr& root);
 
@@ -678,6 +680,7 @@ class DistPlanExecutor {
   Cluster* cluster_;
   DistExecOptions opts_;
   size_t batch_rows_;
+  SimTime start_;  // the reader's Begin time
   // Pipelined fragment execution is in effect (requested and not voided by
   // strict_channel_limit, whose deny-vs-succeed outcome would otherwise
   // depend on how far the consumer happened to drain the window).
@@ -817,7 +820,8 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
       if (s->path != ScanPath::kColumnar || !cluster_->IsColumnar(s->table)) {
         continue;
       }
-      OFI_ASSIGN_OR_RETURN(size_t merged, cluster_->RefreshColumnar(s->table));
+      OFI_ASSIGN_OR_RETURN(size_t merged,
+                           cluster_->RefreshColumnar(s->table, start_));
       if (merged > 0) {
         cluster_->metrics().Add("columnar.auto_refreshes",
                                 static_cast<int64_t>(merged));
@@ -842,8 +846,9 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
 
   // One consistent snapshot across every shard (single-shard scope when an
   // index probe pinned the plan to one DN).
-  Txn reader = cluster_->Begin(single_shard_probe ? TxnScope::kSingleShard
-                                                  : TxnScope::kMultiShard);
+  Txn reader = cluster_->Begin(
+      single_shard_probe ? TxnScope::kSingleShard : TxnScope::kMultiShard,
+      start_);
   reader_ = &reader;
   scatter_start_ = reader.now();
   frontier_.assign(static_cast<size_t>(n_), scatter_start_);
@@ -988,6 +993,7 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
     out.table = std::move(gathered);
   }
   out.stats = std::move(stats_);
+  out.done = reader.now();
   return out;
 }
 
@@ -2052,8 +2058,9 @@ std::string DistOp::ToString(int indent) const {
 }
 
 Result<DistPlanResult> ExecuteDistPlan(Cluster* cluster, const DistOpPtr& root,
-                                       const DistExecOptions& options) {
-  DistPlanExecutor exec(cluster, options);
+                                       const DistExecOptions& options,
+                                       SimTime start) {
+  DistPlanExecutor exec(cluster, options, start);
   return exec.Run(root);
 }
 

@@ -271,15 +271,21 @@ struct DistExecStats {
 struct DistPlanResult {
   sql::Table table;
   DistExecStats stats;
+  /// Simulated time the reader transaction finished (its commit included).
+  SimTime done = 0;
 };
 
 /// Executes a distributed physical plan on the cluster inside one
 /// multi-shard snapshot. The root must be a Gather, optionally under a
 /// DistFinalAgg. Replays the monolithic entry points' exact simulated
 /// charge sequences, so a plan built by the DistributedAggregate /
-/// DistributedJoin shims reproduces their historical numbers.
+/// DistributedJoin shims reproduces their historical numbers. The reader
+/// transaction (and any auto-refresh merge) starts at simulated time
+/// `start`; stats.sim_latency_us is measured from the scatter, so it does
+/// not depend on `start` when the cluster is idle.
 Result<DistPlanResult> ExecuteDistPlan(Cluster* cluster, const DistOpPtr& root,
-                                       const DistExecOptions& options = {});
+                                       const DistExecOptions& options = {},
+                                       SimTime start = 0);
 
 // --- Lowering (sql::PlanSelect logical plan -> distributed physical plan) ----
 

@@ -1,5 +1,7 @@
 #include "cluster/distributed_sql.h"
 
+#include <algorithm>
+
 #include "sql/executor.h"
 
 namespace ofi::cluster {
@@ -25,6 +27,13 @@ Result<sql::PlanPtr> DistributedSqlSession::PlanQuery(
   return sql::PlanSelect(stmt, catalog_, join_planner);
 }
 
+void DistributedSqlSession::AdvanceClock(SimTime done) {
+  clock_ = std::max(clock_, done);
+  // Only this session's writes schedule merges, so none can be queued
+  // between the check and the trim.
+  if (!cluster_.MergesInFlight()) cluster_.scheduler().Trim(clock_);
+}
+
 Result<sql::Table> DistributedSqlSession::ExecuteSelect(
     const sql::SelectStatement& stmt) {
   last_ = QueryInfo{};
@@ -38,8 +47,10 @@ Result<sql::Table> DistributedSqlSession::ExecuteSelect(
     return exec.Execute(plan);
   }
 
-  OFI_ASSIGN_OR_RETURN(DistPlanResult dist,
-                       ExecuteDistPlan(&cluster_, lowering.root, exec_options_));
+  OFI_ASSIGN_OR_RETURN(
+      DistPlanResult dist,
+      ExecuteDistPlan(&cluster_, lowering.root, exec_options_, clock_));
+  AdvanceClock(dist.done);
   last_.distributed = true;
   last_.stats = dist.stats;
   if (lowering.cn_post.empty()) return std::move(dist.table);
@@ -134,9 +145,11 @@ Result<sql::Table> DistributedSqlSession::Execute(
         }
         // Mirror first: it validates the row shape before anything ships.
         OFI_RETURN_NOT_OK(table->Append(row));
-        Txn txn = cluster_.Begin(TxnScope::kSingleShard);
-        OFI_RETURN_NOT_OK(txn.Insert(insert.table, row[0], row));
-        OFI_RETURN_NOT_OK(txn.Commit());
+        Txn txn = cluster_.Begin(TxnScope::kSingleShard, clock_);
+        Status st = txn.Insert(insert.table, row[0], row);
+        if (st.ok()) st = txn.Commit();
+        AdvanceClock(txn.now());
+        OFI_RETURN_NOT_OK(st);
       }
       // Keep statistics fresh enough for small interactive sessions.
       stats_.Put(insert.table, optimizer::AnalyzeTable(*table));

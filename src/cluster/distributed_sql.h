@@ -29,6 +29,14 @@ namespace ofi::cluster {
 /// through a multi-shard snapshot. (It also makes the randomized
 /// equivalence suite honest: the reference answer comes from the mirror
 /// through the ordinary executor.)
+///
+/// The session keeps a simulated clock. Every transaction it runs (each
+/// INSERT row, each SELECT's reader) Begins at the clock, and the clock
+/// advances to that transaction's completion. The session then trims the
+/// scheduler below the clock, since no later statement can arrive earlier,
+/// so the cost of a charge depends on the live window, not on the session's
+/// history. The trim is held while a background merge is in flight: a merge
+/// charges at its triggering write's time, which may lie below the clock.
 class DistributedSqlSession {
  public:
   explicit DistributedSqlSession(int num_dns = 3,
@@ -54,7 +62,7 @@ class DistributedSqlSession {
     return cluster_.RegisterColumnar(table);
   }
   Result<size_t> RefreshColumnar(const std::string& table) {
-    return cluster_.RefreshColumnar(table);
+    return cluster_.RefreshColumnar(table, clock_);
   }
 
   /// How the last SELECT actually executed.
@@ -83,12 +91,16 @@ class DistributedSqlSession {
  private:
   Result<sql::PlanPtr> PlanQuery(const sql::SelectStatement& stmt);
   Result<sql::Table> ExecuteSelect(const sql::SelectStatement& stmt);
+  /// Moves the session clock to `done` (a finished transaction's completion)
+  /// and trims the scheduler below it unless a merge is in flight.
+  void AdvanceClock(SimTime done);
 
   Cluster cluster_;
   sql::Catalog catalog_;  // CN mirror: planning, stats, fallback
   optimizer::StatsRegistry stats_;
   DistExecOptions exec_options_;
   QueryInfo last_;
+  SimTime clock_ = 0;
 };
 
 }  // namespace ofi::cluster

@@ -768,10 +768,7 @@ std::vector<SimTime> SimulateExchange(
       batches += net->OutBatches(i);
     }
     SimTime service = ExchangeServiceTime(bytes, batches, p);
-    send_done[i] =
-        service == 0
-            ? start[i]
-            : scheduler->Charge(node_resources[i], start[i], service);
+    send_done[i] = scheduler->Charge(node_resources[i], start[i], service);
   }
 
   // Receivers: node j can decode once the slowest sender shipping to it has
@@ -800,9 +797,7 @@ std::vector<SimTime> SimulateExchange(
     size_t spilled_in = 0;
     for (const auto* net : nets) spilled_in += net->SpilledInBytes(j);
     service += SpillServiceTime(spilled_in, p);
-    done[j] = service == 0
-                  ? arrival
-                  : scheduler->Charge(node_resources[j], arrival, service);
+    done[j] = scheduler->Charge(node_resources[j], arrival, service);
   }
   return done;
 }

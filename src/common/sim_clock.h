@@ -6,6 +6,8 @@
 /// relying on wall-clock contention.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -44,9 +46,18 @@ class SimScheduler {
 
   /// Charges `service_us` of serialized work on `resource` for a request
   /// arriving at `arrival`. Returns the completion time (the request waits
-  /// for the first idle gap big enough to hold it).
+  /// for the first idle gap big enough to hold it). A request with no
+  /// service books nothing and completes on arrival.
+  ///
+  /// The new interval merges with a neighbour that ends exactly at its
+  /// start or begins exactly at its end. A zero-width gap never fits a
+  /// request, so merging changes no completion time and no BusyTime; it
+  /// only keeps back-to-back work from growing the map, so the gap walk
+  /// visits real gaps instead of every interval ever charged.
   SimTime Charge(int resource, SimTime arrival, SimTime service_us) {
+    if (service_us <= 0) return arrival;
     std::lock_guard lock(mu_);
+    if (arrival < floor_) ++late_charges_;
     auto& busy = resources_[resource].busy;
     SimTime t = arrival;
     auto it = busy.upper_bound(t);
@@ -59,8 +70,30 @@ class SimScheduler {
       t = it->second;
       ++it;
     }
-    busy.emplace(t, t + service_us);
-    return t + service_us;
+    const SimTime done = t + service_us;
+    // Every interval before `it` ends at or before `t`; `it` starts at or
+    // after `done`.
+    SimTime end = done;
+    if (it != busy.end() && it->first == done) {
+      end = it->second;
+      it = busy.erase(it);
+    }
+    if (it != busy.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second == t) {
+        prev->second = end;
+        return done;
+      }
+    }
+    busy.emplace_hint(it, t, end);
+    return done;
+  }
+
+  /// Live (untrimmed, merged) busy intervals on `resource` — the length of
+  /// the map a Charge may walk.
+  size_t IntervalCount(int resource) const {
+    std::lock_guard lock(mu_);
+    return resources_[resource].busy.size();
   }
 
   /// Total busy time charged to `resource` in [0, horizon) — utilization
@@ -72,10 +105,19 @@ class SimScheduler {
     return total + resources_[resource].trimmed_busy;
   }
 
+  /// Charges that arrived below the highest Trim floor since the last
+  /// Reset. Each broke Trim's contract: gap-fitting may have placed it in
+  /// time that was busy before the trim.
+  size_t LateCharges() const {
+    std::lock_guard lock(mu_);
+    return late_charges_;
+  }
+
   /// Drops interval bookkeeping that ended before `floor` (no future arrival
   /// will be earlier). Call periodically from closed-loop drivers.
   void Trim(SimTime floor) {
     std::lock_guard lock(mu_);
+    floor_ = std::max(floor_, floor);
     for (auto& r : resources_) {
       auto it = r.busy.begin();
       while (it != r.busy.end() && it->second < floor) {
@@ -91,6 +133,8 @@ class SimScheduler {
       r.busy.clear();
       r.trimmed_busy = 0;
     }
+    floor_ = 0;
+    late_charges_ = 0;
   }
 
  private:
@@ -100,6 +144,8 @@ class SimScheduler {
   };
   mutable std::mutex mu_;
   std::vector<Resource> resources_;
+  SimTime floor_ = 0;  // highest Trim floor since Reset
+  size_t late_charges_ = 0;
 };
 
 /// \brief A monotonically advancing simulated clock usable where only

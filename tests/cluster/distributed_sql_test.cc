@@ -7,6 +7,7 @@
 /// division is reproducible (both sides divide the same exact operands).
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -558,6 +559,84 @@ TEST_F(DistributedSqlTest, ExplainReportsSpillPolicy) {
   ASSERT_TRUE(strict.ok());
   EXPECT_NE(strict->find("overflow denied (strict)"), std::string::npos)
       << *strict;
+}
+
+// --- Session clock -----------------------------------------------------------
+
+/// One INSERT of keys [from, to) into `t (k, v)`.
+void InsertT(DistributedSqlSession* s, int from, int to) {
+  std::string stmt = "INSERT INTO t VALUES ";
+  for (int k = from; k < to; ++k) {
+    if (k > from) stmt += ", ";
+    stmt += "(" + std::to_string(k) + ", " + std::to_string(k % 97) + ")";
+  }
+  auto r = s->Execute(stmt + ";");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+}
+
+/// Creates `t (k, v)` and loads keys [0, rows) with `batch`-row INSERTs;
+/// `after_statement` runs after each INSERT.
+void LoadT(DistributedSqlSession* s, int rows, int batch,
+           const std::function<void()>& after_statement = [] {}) {
+  ASSERT_TRUE(s->Execute("CREATE TABLE t (k BIGINT, v BIGINT);").ok());
+  for (int base = 0; base < rows; base += batch) {
+    InsertT(s, base, std::min(rows, base + batch));
+    after_statement();
+  }
+}
+
+SimTime TotalBusy(Cluster& c) {
+  SimTime total = c.scheduler().BusyTime(c.gtm_resource());
+  for (int dn = 0; dn < c.num_dns(); ++dn) {
+    total += c.scheduler().BusyTime(c.dn_resource(dn));
+  }
+  return total;
+}
+
+TEST(SessionClockTest, LiveIntervalsStayBoundedAcrossALoad) {
+  DistributedSqlSession s(4);
+  Cluster& c = s.cluster();
+  size_t most = 0;
+  LoadT(&s, 16'384, 512, [&] {
+    most = std::max(most, c.scheduler().IntervalCount(c.gtm_resource()));
+    for (int dn = 0; dn < c.num_dns(); ++dn) {
+      most = std::max(most, c.scheduler().IntervalCount(c.dn_resource(dn)));
+    }
+  });
+  // Without the session clock each DN keeps two intervals per row it owns.
+  EXPECT_LE(most, 2u);
+  EXPECT_EQ(c.scheduler().LateCharges(), 0u);
+}
+
+TEST(SessionClockTest, SelectLatencyExcludesLoadBacklog) {
+  DistributedSqlSession s(4);
+  LoadT(&s, 16'384, 512);
+  ASSERT_TRUE(s.Execute("SELECT COUNT(*) FROM t;").ok());
+  ASSERT_TRUE(s.last().distributed);
+  const SimTime after_load = s.last().stats.sim_latency_us;
+  s.cluster().ResetSimTime();
+  ASSERT_TRUE(s.Execute("SELECT COUNT(*) FROM t;").ok());
+  EXPECT_EQ(after_load, s.last().stats.sim_latency_us);
+}
+
+TEST(SessionClockTest, TrimWaitsForBackgroundMerges) {
+  // Same INSERTs into two sessions; only `merged` has a columnar copy, with
+  // auto-merge at a small threshold. Every merge folds fewer than 256 rows
+  // (about 100 land per shard), so each costs exactly one merge block.
+  DistributedSqlSession merged(4), plain(4);
+  merged.cluster().set_delta_merge_threshold(8);
+  LoadT(&plain, 400, 4);
+  ASSERT_TRUE(merged.Execute("CREATE TABLE t (k BIGINT, v BIGINT);").ok());
+  ASSERT_TRUE(merged.RegisterColumnar("t").ok());
+  for (int base = 0; base < 400; base += 4) InsertT(&merged, base, base + 4);
+  merged.cluster().WaitForMerges();
+  const int64_t merges = merged.cluster().metrics().Get("columnar.merges");
+  EXPECT_GT(merges, 0);
+  EXPECT_EQ(TotalBusy(merged.cluster()),
+            TotalBusy(plain.cluster()) +
+                merges * merged.cluster().latency().columnar_merge_block_service_us);
+  // No charge, merges included, arrived below a floor the session trimmed.
+  EXPECT_EQ(merged.cluster().scheduler().LateCharges(), 0u);
 }
 
 // --- Plan-layer unit tests ---------------------------------------------------

@@ -292,6 +292,8 @@ TEST(TrafficScaleTest, GroupCommitDoublesThroughputAt2048Sessions) {
     opts.group_commit.max_batch = 64;
     auto run = RunTraffic(&cluster, cfg, opts);
     EXPECT_TRUE(run.ok());
+    // The engine trims as simulated time advances; nothing may arrive below.
+    EXPECT_EQ(cluster.scheduler().LateCharges(), 0u);
     return *run;
   };
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
@@ -52,6 +56,142 @@ TEST(SimSchedulerTest, IndependentResources) {
   int b = sched.AddResource();
   EXPECT_EQ(sched.Charge(a, 0, 100), 100);
   EXPECT_EQ(sched.Charge(b, 0, 100), 100);  // no cross-resource queueing
+}
+
+TEST(SimSchedulerTest, ZeroServiceBooksNothing) {
+  SimScheduler sched;
+  int r = sched.AddResource();
+  EXPECT_EQ(sched.Charge(r, 100, 0), 100);
+  EXPECT_EQ(sched.IntervalCount(r), 0u);
+  EXPECT_EQ(sched.BusyTime(r), 0);
+  // A zero-width booking at 100 would have pushed this request to 100.
+  EXPECT_EQ(sched.Charge(r, 90, 20), 110);
+}
+
+TEST(SimSchedulerTest, AdjacentIntervalsMerge) {
+  SimScheduler sched;
+  int r = sched.AddResource();
+  for (int i = 0; i < 100; ++i) sched.Charge(r, 0, 10);  // back to back
+  EXPECT_EQ(sched.IntervalCount(r), 1u);
+  sched.Charge(r, 2'000, 10);  // [2000,2010): a real gap stays
+  EXPECT_EQ(sched.IntervalCount(r), 2u);
+  // Exactly filling the gap joins all three into one.
+  EXPECT_EQ(sched.Charge(r, 1'000, 1'000), 2'000);
+  EXPECT_EQ(sched.IntervalCount(r), 1u);
+  EXPECT_EQ(sched.BusyTime(r), 2'010);
+}
+
+TEST(SimSchedulerTest, CountsChargesBelowTheTrimFloor) {
+  SimScheduler sched;
+  int r = sched.AddResource();
+  sched.Charge(r, 0, 50);
+  sched.Trim(100);
+  sched.Charge(r, 100, 10);
+  EXPECT_EQ(sched.LateCharges(), 0u);
+  sched.Charge(r, 20, 10);  // breaks Trim's contract
+  EXPECT_EQ(sched.LateCharges(), 1u);
+  sched.Reset();
+  EXPECT_EQ(sched.LateCharges(), 0u);
+  sched.Charge(r, 20, 10);  // Reset drops the floor
+  EXPECT_EQ(sched.LateCharges(), 0u);
+}
+
+/// The gap-fitting scheduler as it was before intervals merged: every
+/// charge books its own interval, zero-width ones included. Kept as the
+/// reference that merging must agree with.
+class UnmergedScheduler {
+ public:
+  explicit UnmergedScheduler(int resources) : busy_(resources) {}
+
+  SimTime Charge(int resource, SimTime arrival, SimTime service_us) {
+    auto& busy = busy_[resource];
+    SimTime t = arrival;
+    auto it = busy.upper_bound(t);
+    if (it != busy.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second > t) t = prev->second;
+    }
+    while (it != busy.end() && it->first < t + service_us) {
+      t = it->second;
+      ++it;
+    }
+    busy.emplace(t, t + service_us);
+    return t + service_us;
+  }
+
+  SimTime BusyTime(int resource) const {
+    SimTime total = trimmed_[resource];
+    for (const auto& [start, end] : busy_[resource]) total += end - start;
+    return total;
+  }
+
+  void Trim(SimTime floor) {
+    for (size_t r = 0; r < busy_.size(); ++r) {
+      auto it = busy_[r].begin();
+      while (it != busy_[r].end() && it->second < floor) {
+        trimmed_[r] += it->second - it->first;
+        it = busy_[r].erase(it);
+      }
+    }
+  }
+
+  /// Start and length of one idle gap between intervals starting at or
+  /// after `from` on `resource` ({from, 0} if there is none), so a test can
+  /// aim a request at an exact fit.
+  std::pair<SimTime, SimTime> Gap(int resource, SimTime from,
+                                  uint64_t pick) const {
+    std::vector<std::pair<SimTime, SimTime>> gaps;
+    SimTime prev_end = -1;
+    for (const auto& [start, end] : busy_[resource]) {
+      if (prev_end >= from && start > prev_end) {
+        gaps.emplace_back(prev_end, start - prev_end);
+      }
+      prev_end = end;
+    }
+    if (gaps.empty()) return {from, 0};
+    return gaps[pick % gaps.size()];
+  }
+
+ private:
+  std::vector<std::map<SimTime, SimTime>> busy_;
+  std::vector<SimTime> trimmed_ = std::vector<SimTime>(busy_.size(), 0);
+};
+
+TEST(SimSchedulerTest, MergingMatchesUnmergedReference) {
+  constexpr int kResources = 3;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    SimScheduler sched;
+    UnmergedScheduler ref(kResources);
+    for (int i = 0; i < kResources; ++i) sched.AddResource();
+    SimTime floor = 0;
+    for (int step = 0; step < 2'000; ++step) {
+      const int r = static_cast<int>(rng.Uniform(0, kResources - 1));
+      SimTime arrival = floor + rng.Uniform(0, 400);  // out of order
+      SimTime service = rng.Uniform(1, 30);
+      const int64_t kind = rng.Uniform(0, 9);
+      if (kind == 0) {
+        // Aim at an existing gap and fill it exactly.
+        auto [start, length] = ref.Gap(r, floor, rng.Next());
+        if (length > 0) {
+          arrival = start;
+          service = length;
+        }
+      } else if (kind == 1) {
+        floor += rng.Uniform(0, 60);  // arrivals never go below a Trim
+        sched.Trim(floor);
+        ref.Trim(floor);
+        continue;
+      }
+      ASSERT_EQ(sched.Charge(r, arrival, service),
+                ref.Charge(r, arrival, service))
+          << "seed " << seed << " step " << step;
+    }
+    for (int r = 0; r < kResources; ++r) {
+      EXPECT_EQ(sched.BusyTime(r), ref.BusyTime(r)) << "seed " << seed;
+    }
+    EXPECT_EQ(sched.LateCharges(), 0u);
+  }
 }
 
 TEST(RngTest, DeterministicAndUniform) {
