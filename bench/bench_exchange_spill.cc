@@ -13,7 +13,7 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "common/rng.h"
 
 namespace {
@@ -53,33 +53,34 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
   return cluster;
 }
 
-DistributedJoinSpec JoinSpec() {
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "customers";
-  spec.left_key = "cust";
-  spec.right_key = "c_id";
-  return spec;
+/// SELECT * FROM orders JOIN customers ON cust = c_id under a forced
+/// strategy: two row scans feeding a hash join, joined rows gathered.
+DistOpPtr JoinPlan(JoinStrategy strategy) {
+  return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
+                                     MakeDistScan("customers", nullptr), "cust",
+                                     "c_id", nullptr, strategy),
+                    /*gather_rows=*/true);
 }
 
 /// range: dns, channel cap in bytes (0 = uncapped).
 void BM_RepartitionJoinUnderCap(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
   auto cluster = BuildJoinCluster(dns, 8'000, 8'000);
-  DistributedJoinOptions options;
-  options.strategy = JoinStrategy::kRepartition;
+  DistExecOptions options;
   options.max_channel_bytes = static_cast<size_t>(state.range(1));
-  DistributedJoinResult last;
+  const DistOpPtr plan = JoinPlan(JoinStrategy::kRepartition);
+  DistPlanResult last;
   for (auto _ : state) {
     cluster->ResetSimTime();
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), plan, options);
     if (r.ok()) last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.table);
   }
+  const DistExecStats& st = last.stats;
   state.counters["moved_bytes"] =
-      static_cast<double>(last.shuffle_bytes + last.broadcast_bytes);
-  state.counters["spilled_bytes"] = static_cast<double>(last.spill_bytes);
-  state.counters["sim_us"] = static_cast<double>(last.sim_latency_us);
+      static_cast<double>(st.shuffle_bytes + st.broadcast_bytes);
+  state.counters["spilled_bytes"] = static_cast<double>(st.spill_bytes);
+  state.counters["sim_us"] = static_cast<double>(st.sim_latency_us);
 }
 BENCHMARK(BM_RepartitionJoinUnderCap)
     ->ArgNames({"dns", "cap"})
@@ -100,20 +101,21 @@ void PrintCapSweepTable() {
          "spill (B)", "sim (us)", "overhead", "strict mode");
   auto cluster = BuildJoinCluster(4, 8'000, 8'000);
   SimTime base_us = 0;
+  const DistOpPtr plan = JoinPlan(JoinStrategy::kRepartition);
   for (size_t cap : {size_t{0}, size_t{1} << 18, size_t{1} << 16,
                      size_t{1} << 14, size_t{1} << 12, size_t{1} << 10,
                      size_t{64}}) {
-    DistributedJoinOptions options;
-    options.strategy = JoinStrategy::kRepartition;
+    DistExecOptions options;
     options.max_channel_bytes = cap;
     cluster->ResetSimTime();
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), plan, options);
     if (!r.ok()) continue;
-    if (cap == 0) base_us = r->sim_latency_us;
+    const DistExecStats& st = r->stats;
+    if (cap == 0) base_us = st.sim_latency_us;
 
-    DistributedJoinOptions strict = options;
+    DistExecOptions strict = options;
     strict.strict_channel_limit = true;
-    auto s = DistributedJoin(cluster.get(), JoinSpec(), strict);
+    auto s = ExecuteDistPlan(cluster.get(), plan, strict);
     const char* strict_fate =
         cap == 0 ? "n/a" : (s.ok() ? "completes" : "QUERY FAILS");
 
@@ -124,10 +126,10 @@ void PrintCapSweepTable() {
       snprintf(capbuf, sizeof(capbuf), "%zu", cap);
     }
     printf("%-10s %12zu %12zu %12lld %9.2fx %-14s\n", capbuf,
-           r->shuffle_bytes + r->broadcast_bytes, r->spill_bytes,
-           (long long)r->sim_latency_us,
+           st.shuffle_bytes + st.broadcast_bytes, st.spill_bytes,
+           (long long)st.sim_latency_us,
            base_us == 0 ? 1.0
-                        : static_cast<double>(r->sim_latency_us) /
+                        : static_cast<double>(st.sim_latency_us) /
                               static_cast<double>(base_us),
            strict_fate);
   }
@@ -144,13 +146,13 @@ void PrintBuildSpillTable() {
   printf("%-12s %16s %12s %10s\n", "budget (B)", "build spill (B)", "sim (us)",
          "rows");
   auto cluster = BuildJoinCluster(4, 8'000, 256);
+  const DistOpPtr plan = JoinPlan(JoinStrategy::kBroadcast);
   for (size_t budget : {size_t{0}, size_t{1} << 14, size_t{1} << 12,
                         size_t{1} << 10}) {
-    DistributedJoinOptions options;
-    options.strategy = JoinStrategy::kBroadcast;
+    DistExecOptions options;
     options.max_build_bytes = budget;
     cluster->ResetSimTime();
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), plan, options);
     if (!r.ok()) continue;
     char budbuf[24];
     if (budget == 0) {
@@ -158,8 +160,8 @@ void PrintBuildSpillTable() {
     } else {
       snprintf(budbuf, sizeof(budbuf), "%zu", budget);
     }
-    printf("%-12s %16zu %12lld %10zu\n", budbuf, r->build_spill_bytes,
-           (long long)r->sim_latency_us, r->table.num_rows());
+    printf("%-12s %16zu %12lld %10zu\n", budbuf, r->stats.build_spill_bytes,
+           (long long)r->stats.sim_latency_us, r->table.num_rows());
   }
   printf("(a build partition over budget spools through a spill file and is "
          "re-read at build time — same rows, extra disk charge)\n\n");

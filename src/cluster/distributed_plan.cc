@@ -603,6 +603,18 @@ void RunScatter(bool parallel, common::ThreadPool* pool, int n,
   }
 }
 
+/// The broadcast-vs-repartition cost rule over estimated relation bytes on
+/// `n` serving DNs: broadcast ships the small side to the N-1 other nodes,
+/// repartition ships the (N-1)/N fraction of both sides that hashes
+/// off-node. Ties go to broadcast.
+JoinStrategy ChooseJoinStrategy(double est_left, double est_right, int n) {
+  const double cost_broadcast = std::min(est_left, est_right) * (n - 1);
+  const double cost_repartition =
+      (est_left + est_right) * static_cast<double>(n - 1) / std::max(n, 1);
+  return cost_broadcast <= cost_repartition ? JoinStrategy::kBroadcast
+                                            : JoinStrategy::kRepartition;
+}
+
 const char* AggFuncName(AggFunc f) {
   switch (f) {
     case AggFunc::kCount: return "COUNT";
@@ -635,17 +647,15 @@ std::string AggListToString(const std::vector<std::string>& group_by,
 }
 
 /// \brief Executes one distributed physical plan inside one multi-shard
-/// snapshot, replaying the exact simulated charge sequence of the old
-/// monolithic entry points.
+/// snapshot.
 ///
 /// Latency model: `frontier_[i]` tracks when serving node i finishes its
 /// last charged statement (starting at scatter_start). Fragments advance
 /// the frontier — prepare, scan statement(s), exchange, join statement —
-/// and the run completes at max over frontiers plus the CN gather cost,
-/// while the comparison serial model sums the per-DN frontiers. Because
-/// the SimScheduler's gap-fitting Charge is order-independent across
-/// distinct resources, decomposing one monolithic loop into per-fragment
-/// loops leaves every per-DN completion time bit-identical as long as the
+/// and the run completes at max over frontiers plus the CN gather cost.
+/// Because the SimScheduler's gap-fitting Charge is order-independent
+/// across distinct resources, running the plan as per-fragment loops gives
+/// the same per-DN completion times as one fused loop would, as long as the
 /// per-resource charge order is preserved — which the frontier guarantees.
 class DistPlanExecutor {
  public:
@@ -704,8 +714,8 @@ class DistPlanExecutor {
   size_t left_key_idx_ = 0, right_key_idx_ = 0;
 
   DistExecStats stats_;
-  // Metrics the old entry points only emitted after Commit; recorded during
-  // fragment execution and replayed in Run() at the same point.
+  // Metrics emitted only after Commit; recorded during fragment execution
+  // and replayed in Run() at that point.
   std::vector<std::pair<std::string, int64_t>> pending_metrics_;
 };
 
@@ -785,8 +795,8 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   const DistOp* index_scan =
       core->kind == DistOpKind::kDistIndexScan ? core : nullptr;
 
-  // Aggregate decomposition before any transaction begins (same order as
-  // the old entry point: plan validation errors surface first).
+  // Aggregate decomposition before any transaction begins, so plan
+  // validation errors surface first.
   if (final_agg != nullptr) {
     agg_group_ = final_agg->group_by;
     agg_specs_ = final_agg->aggs;
@@ -807,31 +817,8 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   n_ = static_cast<int>(serving_.size());
   stats_.num_serving = n_;
 
-  // Opt-in auto-refresh: force-merge the delta tails of the scanned tables
-  // before the snapshot opens, so the scan runs against freshly sealed
-  // chunks instead of paying the row-path union over a long tail. Purely a
-  // latency knob — results are identical either way — and a quiescent
-  // cluster pays nothing (merging an empty tail is a no-op).
-  if (opts_.auto_refresh_columnar) {
-    const DistOp* scans[2] = {left_scan != nullptr ? left_scan : core,
-                              right_scan};
-    for (const DistOp* s : scans) {
-      if (s == nullptr || s->kind != DistOpKind::kDistScan) continue;
-      if (s->path != ScanPath::kColumnar || !cluster_->IsColumnar(s->table)) {
-        continue;
-      }
-      OFI_ASSIGN_OR_RETURN(size_t merged,
-                           cluster_->RefreshColumnar(s->table, start_));
-      if (merged > 0) {
-        cluster_->metrics().Add("columnar.auto_refreshes",
-                                static_cast<int64_t>(merged));
-      }
-    }
-  }
-
-  // Join key resolution happens before Begin (as the old DistributedJoin
-  // did); schemas are identical on every DN, so the first serving node is
-  // authoritative.
+  // Join key resolution happens before Begin; schemas are identical on
+  // every DN, so the first serving node is authoritative.
   if (left_scan != nullptr) {
     OFI_ASSIGN_OR_RETURN(storage::MvccTable * left0,
                          cluster_->dn(serving_[0])->GetTable(left_scan->table));
@@ -921,11 +908,7 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   }
 
   SimTime parallel_done = scatter_start_;
-  SimTime serial_sum = 0;
-  for (SimTime f : frontier_) {
-    parallel_done = std::max(parallel_done, f);
-    serial_sum += f - scatter_start_;
-  }
+  for (SimTime f : frontier_) parallel_done = std::max(parallel_done, f);
   // The CN pays the per-partial merge, plus a size-aware receive when the
   // gathered state is row-shaped (joins and plain scans, unlike aggregates,
   // gather row-sized state).
@@ -967,7 +950,6 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
     cn_done = parallel_done + gather_cost;
   }
   stats_.sim_latency_us = cn_done - scatter_start_;
-  stats_.sim_latency_serial_us = serial_sum + gather_cost;
   // The CN resumes once the last partial has been gathered.
   reader.AdvanceTo(cn_done);
   OFI_RETURN_NOT_OK(reader.Commit());
@@ -1470,32 +1452,15 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   }
   stats_.naive_bytes = actual_left_bytes + actual_right_bytes;
 
-  // Strategy decision. Estimated relation sizes come from optimizer stats
-  // when a registry was wired through; otherwise from the actual scanned
-  // encoded sizes (exact, but unavailable to a real planner — that is
-  // precisely what the stats path models). A caller override wins, then a
-  // plan-time choice, then the cost formula.
-  double est_left = static_cast<double>(actual_left_bytes);
-  double est_right = static_cast<double>(actual_right_bytes);
-  if (opts_.stats != nullptr) {
-    if (const auto* ts = opts_.stats->Get(left_scan.table)) {
-      est_left = ts->EstimatedBytes();
-    }
-    if (const auto* ts = opts_.stats->Get(right_scan.table)) {
-      est_right = ts->EstimatedBytes();
-    }
-  }
+  // Strategy decision: the plan's choice (made by the planner from
+  // statistics, or by the caller), else the cost rule over the actual
+  // scanned encoded sizes. The smaller side is the broadcast side.
+  const double est_left = static_cast<double>(actual_left_bytes);
+  const double est_right = static_cast<double>(actual_right_bytes);
   stats_.broadcast_left = est_left <= est_right;
-  JoinStrategy strategy = opts_.strategy_override;
-  if (strategy == JoinStrategy::kAuto) strategy = join.strategy;
+  JoinStrategy strategy = join.strategy;
   if (strategy == JoinStrategy::kAuto) {
-    // Broadcast ships the small side to the N-1 other nodes; repartition
-    // ships the (N-1)/N fraction of both sides that hashes off-node.
-    double cost_broadcast = std::min(est_left, est_right) * (n_ - 1);
-    double cost_repartition =
-        (est_left + est_right) * static_cast<double>(n_ - 1) / std::max(n_, 1);
-    strategy = cost_broadcast <= cost_repartition ? JoinStrategy::kBroadcast
-                                                  : JoinStrategy::kRepartition;
+    strategy = ChooseJoinStrategy(est_left, est_right, n_);
   }
   stats_.strategy = strategy;
 
@@ -2336,12 +2301,8 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
     if (lstats != nullptr && rstats != nullptr) {
       const double est_l = lstats->EstimatedBytes();
       const double est_r = rstats->EstimatedBytes();
-      const int n = static_cast<int>(serving.size());
-      const double cost_broadcast = std::min(est_l, est_r) * (n - 1);
-      const double cost_repartition =
-          (est_l + est_r) * static_cast<double>(n - 1) / std::max(n, 1);
-      strategy = cost_broadcast <= cost_repartition ? JoinStrategy::kBroadcast
-                                                    : JoinStrategy::kRepartition;
+      strategy =
+          ChooseJoinStrategy(est_l, est_r, static_cast<int>(serving.size()));
       if (strategy == JoinStrategy::kBroadcast) {
         const bool broadcast_left = est_l <= est_r;
         left_in = broadcast_left

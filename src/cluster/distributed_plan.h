@@ -1,8 +1,7 @@
 /// \file distributed_plan.h
 /// \brief The distributed physical-operator layer (paper Fig. 1: the CN
-/// "plans SQL and executes it across data nodes"). What used to be two
-/// monolithic entry points (DistributedAggregate / DistributedJoin in
-/// mpp_query.cc) is decomposed into composable physical operators:
+/// "plans SQL and executes it across data nodes"). A distributed query is a
+/// tree of composable physical operators:
 ///
 ///   DistScan       per-DN shard scan (row store or columnar kernels) with
 ///                  the filter pushed below any data movement
@@ -13,18 +12,16 @@
 ///   DistHashJoin   per-DN src/sql hash join over local + exchanged rows
 ///   DistPartialAgg per-DN partial aggregation, fused into its child
 ///                  fragment's statement (scan+agg or join+agg is one
-///                  statement on the DN, matching the monolith's accounting)
+///                  statement on the DN)
 ///   Gather         CN-side union of per-DN partials in DN order
 ///   DistFinalAgg   CN-side final aggregation (COUNT->sum of counts,
 ///                  AVG->sum/count division) over the gathered partials
 ///
 /// Each operator carries its own data-movement and max-over-DNs simulated
-/// latency accounting; executing the tree a shim builds reproduces the old
-/// DistributedResult / DistributedJoinResult numbers bit-identically (the
-/// SimScheduler's gap-fitting Charge is order-independent across distinct
-/// resources, so the per-DN arrival chaining is the only thing that
-/// matters, and the fragment executor preserves it: prepare -> scan
-/// stmt(s) -> exchange -> join stmt per DN).
+/// latency accounting. The SimScheduler's gap-fitting Charge is
+/// order-independent across distinct resources, so only the per-DN arrival
+/// chaining matters, and the fragment executor preserves it: prepare -> scan
+/// stmt(s) -> exchange -> join stmt per DN.
 ///
 /// On top sits a lowering pass (LowerSelectPlan) from the sql::PlanSelect
 /// logical plan to a distributed physical plan — columnar vs row scan from
@@ -39,10 +36,35 @@
 #include <string>
 #include <vector>
 
-#include "cluster/mpp_query.h"
+#include "cluster/cluster.h"
+#include "cluster/exchange/exchange.h"
+#include "common/thread_pool.h"
+#include "optimizer/stats.h"
 #include "sql/plan.h"
 
 namespace ofi::cluster {
+
+/// One requested aggregate.
+struct DistributedAgg {
+  sql::AggFunc func = sql::AggFunc::kCount;
+  std::string column;  // ignored for COUNT(*)
+  std::string name;
+};
+
+/// How the two sides of a distributed join are moved so matching keys meet.
+enum class JoinStrategy {
+  /// Choose from estimated side sizes: broadcast the smaller side when
+  /// |small| x (N-1) <= (|L|+|R|) x (N-1)/N, repartition otherwise. The
+  /// planner estimates from optimizer stats; the executor resolves a plan
+  /// left at kAuto from the actual scanned encoded sizes.
+  kAuto,
+  /// Ship the (smaller) build side, whole, to every DN; the probe side
+  /// never moves. Bytes ~ |build| x (N-1).
+  kBroadcast,
+  /// Hash-partition BOTH sides on the join key; row with key k goes to DN
+  /// hash(k) % N. Bytes ~ (|L|+|R|) x (N-1)/N.
+  kRepartition,
+};
 
 enum class DistOpKind : uint8_t {
   kDistScan,
@@ -101,7 +123,7 @@ struct DistOp {
   // kDistHashJoin
   std::string left_key, right_key;
   sql::ExprPtr residual;  // evaluated on the joined row
-  /// kAuto = resolve at execution from stats (or actual scanned bytes).
+  /// kAuto = resolve at execution from the actual scanned bytes.
   JoinStrategy strategy = JoinStrategy::kAuto;
 
   // kDistPartialAgg / kDistFinalAgg
@@ -149,16 +171,21 @@ DistOpPtr MakeGather(DistOpPtr child, bool gather_rows);
 
 // --- Execution ---------------------------------------------------------------
 
-/// Knobs for executing a distributed physical plan (the union of the old
-/// DistributedOptions and DistributedJoinOptions knobs).
+/// Knobs for lowering and executing a distributed physical plan.
 struct DistExecOptions {
+  /// Run per-DN fragments on the shared thread pool. When false the scatter
+  /// executes inline on the caller thread. Results and simulated latencies
+  /// are identical either way: partials are always merged in DN order.
   bool parallel = true;
   /// Let LowerSelectPlan choose a DistIndexScan when a predicate binds an
   /// indexed column and stats predict it is cheaper than the scan. Off =
   /// always scan (the sql_shell --no-index escape hatch); execution of an
   /// already-lowered index plan is unaffected.
   bool use_index = true;
+  /// Pool override; nullptr uses common::ThreadPool::Shared().
   common::ThreadPool* pool = nullptr;
+  /// Let LowerSelectPlan serve scans from a registered columnar copy.
+  /// Execution follows the plan's ScanPath.
   bool use_columnar = true;
   /// Morsel-parallel columnar shard scans. Only valid with parallel ==
   /// false (pool workers must not nest ParallelFor); the combination with
@@ -187,16 +214,6 @@ struct DistExecOptions {
   /// exceeding it is spooled through a spill channel and re-read at build
   /// time (bit-identical, charged as spill I/O). 0 = never spill the build.
   size_t max_build_bytes = 0;
-  /// Stats for the kAuto broadcast-vs-repartition decision; null falls
-  /// back to actual scanned encoded sizes.
-  const optimizer::StatsRegistry* stats = nullptr;
-  /// Forced join strategy; kAuto defers to the plan node, then to cost.
-  JoinStrategy strategy_override = JoinStrategy::kAuto;
-  /// Opt-in: rebuild stale columnar shards (Cluster::RefreshColumnar)
-  /// before a plan with columnar scans runs, so writes between queries do
-  /// not silently demote shards to the row path. Rebuilt shards are counted
-  /// by the `columnar.auto_refreshes` metric.
-  bool auto_refresh_columnar = false;
   /// Bench/test knob: force the columnar materialize (Gather + row
   /// aggregate) path even when the fused aggregate is kernel-eligible —
   /// isolates kernel-vs-materialize cost on identical data and plans.
@@ -217,20 +234,25 @@ struct DistExecOptions {
   int pipeline_workers = 0;
 };
 
-/// Accounting produced by one distributed plan execution — the union of
-/// the DistributedResult and DistributedJoinResult number sets, filled in
-/// by whichever operators ran.
+/// Accounting produced by one distributed plan execution, filled in by
+/// whichever operators ran.
 struct DistExecStats {
+  /// Simulated CN-observed latency: max over DNs of each DN's charged
+  /// fragment chain, plus the CN gather (one cn_gather_service_us per
+  /// partial, and a size-aware receive when rows are gathered).
   SimTime sim_latency_us = 0;
-  SimTime sim_latency_serial_us = 0;
   int num_serving = 0;
   // Aggregate-path accounting.
+  /// Bytes of partial state shipped DN -> CN.
   size_t partial_bytes = 0;
+  /// Bytes a naive plan — ship every (filtered) row to one node — would
+  /// have moved.
   size_t naive_bytes = 0;
+  /// Shards served from the columnar store (0 = pure row path).
   size_t columnar_shards = 0;
   storage::ScanStats scan_stats;
   /// What each DN actually did for each scanned table (`path` is the
-  /// realized flavor, e.g. "columnar(grouped-kernel)" or "row(stale)") with
+  /// realized flavor, e.g. "columnar(grouped-kernel)" or "row(filter)") with
   /// that shard's scan counters — the per-DN breakdown of scan_stats.
   struct DnScanInfo {
     int dn = 0;
@@ -241,11 +263,17 @@ struct DistExecStats {
   std::vector<DnScanInfo> per_dn;
   // Join-path accounting.
   bool joined = false;
+  /// Strategy actually executed (kAuto resolved).
   JoinStrategy strategy = JoinStrategy::kBroadcast;
+  /// Broadcast only: true if the left side was the broadcast (build) side.
   bool broadcast_left = false;
+  /// Cross-DN bytes moved by hash repartitioning (0 under broadcast).
   size_t shuffle_bytes = 0;
+  /// Cross-DN bytes moved by broadcasting (0 under repartition).
   size_t broadcast_bytes = 0;
+  /// Encoded bytes of joined rows gathered DN -> CN.
   size_t result_bytes = 0;
+  /// Cross-DN exchange batches sent.
   size_t exchange_batches = 0;
   /// Exchange payload spilled to temp files by capped channels (loopback
   /// included — the disk I/O is real even for the local partition).
@@ -254,6 +282,7 @@ struct DistExecStats {
   /// Join build partitions spooled to disk under max_build_bytes, summed
   /// over DNs.
   size_t build_spill_bytes = 0;
+  /// Per-(src DN, dst DN) byte/batch accounting, loopback included.
   std::vector<exchange::ChannelStats> channels;
   // Pipelined-execution accounting (DistExecOptions::pipeline).
   /// True when the pipelined scheduler actually ran (pipeline requested and
@@ -277,12 +306,11 @@ struct DistPlanResult {
 
 /// Executes a distributed physical plan on the cluster inside one
 /// multi-shard snapshot. The root must be a Gather, optionally under a
-/// DistFinalAgg. Replays the monolithic entry points' exact simulated
-/// charge sequences, so a plan built by the DistributedAggregate /
-/// DistributedJoin shims reproduces their historical numbers. The reader
-/// transaction (and any auto-refresh merge) starts at simulated time
-/// `start`; stats.sim_latency_us is measured from the scatter, so it does
-/// not depend on `start` when the cluster is idle.
+/// DistFinalAgg. With replication enabled, shards whose primary is down
+/// are served (exactly once) by the promoted backup. The reader
+/// transaction starts at simulated time `start`; stats.sim_latency_us is
+/// measured from the scatter, so it does not depend on `start` when the
+/// cluster is idle.
 Result<DistPlanResult> ExecuteDistPlan(Cluster* cluster, const DistOpPtr& root,
                                        const DistExecOptions& options = {},
                                        SimTime start = 0);

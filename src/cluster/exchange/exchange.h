@@ -30,13 +30,13 @@
 /// strict), and a shared SpillBudget bounds total on-disk bytes per query.
 ///
 /// The simulated latency model is consistent with the max-over-DNs scatter
-/// in cluster/mpp_query.h: every node serializes+sends its outgoing traffic
-/// and decodes its incoming traffic as work on its own serialized resource
-/// (per-batch overhead + per-KiB payload cost, see LatencyModel), and the
-/// exchange completes on node j when the slowest contributing sender has
-/// finished plus one network hop — not the serial sum over nodes (which
-/// callers still report for comparison). Spilled bytes additionally charge
-/// a disk write + read per KiB on the receiving node's resource.
+/// in cluster/distributed_plan.h: every node serializes+sends its outgoing
+/// traffic and decodes its incoming traffic as work on its own serialized
+/// resource (per-batch overhead + per-KiB payload cost, see LatencyModel),
+/// and the exchange completes on node j when the slowest contributing
+/// sender has finished plus one network hop — not the serial sum over
+/// nodes. Spilled bytes additionally charge a disk write + read per KiB on
+/// the receiving node's resource.
 #pragma once
 
 #include <atomic>

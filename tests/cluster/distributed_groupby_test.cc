@@ -269,25 +269,25 @@ TEST_F(DistributedGroupByTest, EveryFallbackReasonHasItsOwnCounter) {
   EXPECT_GE(dist_.last().stats.scan_stats.delta_rows, 1u);
 }
 
-TEST_F(DistributedGroupByTest, AutoRefreshMergesDeltaTailsBeforeTheScan) {
+TEST_F(DistributedGroupByTest, RefreshMergesDeltaTailsBeforeTheScan) {
   CreateAndLoadSales(/*seed=*/43, /*rows=*/100);
   ASSERT_TRUE(dist_.RegisterColumnar("sales").ok());
   Exec("INSERT INTO sales VALUES (1000, 7, 'east', 99)");  // one tail record
 
-  dist_.exec_options().auto_refresh_columnar = true;
-  const int64_t refresh0 = Metric("columnar.auto_refreshes");
+  // The force-merge folds the tail: the scan itself sees no delta.
+  auto merged = dist_.RefreshColumnar("sales");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_GT(*merged, 0u);
   Query("SELECT region, SUM(amount) AS s FROM sales GROUP BY region");
-  // The pre-scan force-merge folded the tail: the scan itself saw no delta.
-  EXPECT_GT(Metric("columnar.auto_refreshes"), refresh0);
   EXPECT_EQ(dist_.last().stats.columnar_shards, 4u);
   EXPECT_EQ(dist_.last().stats.scan_stats.delta_rows, 0u);
   for (const auto& info : dist_.last().stats.per_dn) {
     EXPECT_EQ(info.path, "columnar(grouped-kernel)");
   }
-  // Quiescent cluster: the next query merges nothing.
-  const int64_t refresh1 = Metric("columnar.auto_refreshes");
-  Query("SELECT k, COUNT(*) AS n FROM sales GROUP BY k");
-  EXPECT_EQ(Metric("columnar.auto_refreshes"), refresh1);
+  // Quiescent cluster: refreshing again merges nothing.
+  auto again = dist_.RefreshColumnar("sales");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 0u);
 }
 
 TEST_F(DistributedGroupByTest, ExplainShowsGroupedKernelAndPerDnForecast) {

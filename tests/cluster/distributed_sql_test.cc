@@ -483,7 +483,6 @@ TEST_F(DistributedSqlTest, PipelinedOverlapsProducerAndConsumerFrontiers) {
   EXPECT_GT(piped.pipeline_overlap_us, 0);
   EXPECT_GT(piped.batches_streamed, 0u);
   EXPECT_LE(piped.sim_latency_us, barrier.sim_latency_us);
-  EXPECT_LT(piped.sim_latency_us, piped.sim_latency_serial_us);
   // Same answer, bit-identical row order, from both clusters.
   ASSERT_EQ(b->num_rows(), pr->num_rows());
   for (size_t i = 0; i < b->num_rows(); ++i) {

@@ -8,8 +8,8 @@
 /// silently dropping rows.
 #include <gtest/gtest.h>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "plan_shapes.h"
 
 namespace ofi::cluster {
 namespace {
@@ -121,19 +121,15 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesUnderStrict) {
     ASSERT_TRUE(t.Commit().ok());
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "lookup";
-  spec.left_key = "o_id";
-  spec.right_key = "l_id";
+  DistOpPtr plan =
+      JoinPlan("orders", "lookup", "o_id", "l_id", JoinStrategy::kRepartition);
 
   // Unbounded run first: the join works, nothing spilled or denied.
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kRepartition;
-  auto ok = DistributedJoin(&cluster, spec, opts);
+  DistExecOptions opts;
+  auto ok = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->table.num_rows(), 8u);
-  EXPECT_EQ(ok->spill_bytes, 0u);
+  EXPECT_EQ(ok->stats.spill_bytes, 0u);
   EXPECT_EQ(cluster.metrics().Get("exchange.bytes_spilled"), 0);
   EXPECT_EQ(cluster.metrics().Get("exchange.bytes_denied"), 0);
 
@@ -141,27 +137,27 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesUnderStrict) {
   // now spills on every channel and the join completes with the same rows,
   // only slower in simulated time.
   opts.max_channel_bytes = 16;
-  auto capped = DistributedJoin(&cluster, spec, opts);
+  auto capped = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_TRUE(capped.ok());
   EXPECT_EQ(capped->table.num_rows(), 8u);
-  EXPECT_GT(capped->spill_bytes, 0u);
+  EXPECT_GT(capped->stats.spill_bytes, 0u);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_spilled"), 0);
-  EXPECT_GT(capped->sim_latency_us, ok->sim_latency_us);
+  EXPECT_GT(capped->stats.sim_latency_us, ok->stats.sim_latency_us);
 
   // Strict mode restores the hard limit: the query fails loudly instead of
   // silently dropping rows, counted in exchange.bytes_denied.
   opts.strict_channel_limit = true;
-  auto denied = DistributedJoin(&cluster, spec, opts);
+  auto denied = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
 
   // Roomy cap: behaves exactly like unbounded in either mode.
   opts.max_channel_bytes = 1 << 20;
-  auto roomy = DistributedJoin(&cluster, spec, opts);
+  auto roomy = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_TRUE(roomy.ok());
   EXPECT_EQ(roomy->table.num_rows(), 8u);
-  EXPECT_EQ(roomy->spill_bytes, 0u);
+  EXPECT_EQ(roomy->stats.spill_bytes, 0u);
 }
 
 }  // namespace

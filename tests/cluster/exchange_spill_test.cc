@@ -11,8 +11,8 @@
 #include <fstream>
 #include <thread>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "plan_shapes.h"
 
 namespace ofi::cluster {
 namespace {
@@ -293,14 +293,9 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
     ASSERT_TRUE(t.Commit().ok());
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "lookup";
-  spec.left_key = "o_id";
-  spec.right_key = "l_id";
-
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kRepartition;
+  DistOpPtr plan =
+      JoinPlan("orders", "lookup", "o_id", "l_id", JoinStrategy::kRepartition);
+  DistExecOptions opts;
   opts.parallel = false;  // deterministic send order across DNs
   opts.max_channel_bytes = 64;
   opts.spill_dir = dir_.string();
@@ -311,7 +306,7 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   // denial, with live spill files for the failure path to clean up.
   opts.batch_rows = 8;
   opts.max_spill_bytes = 2048;
-  auto fail = DistributedJoin(&cluster, spec, opts);
+  auto fail = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_FALSE(fail.ok());
   EXPECT_EQ(fail.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
@@ -320,10 +315,10 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
 
   // Same query with a sufficient budget completes — and still cleans up.
   opts.max_spill_bytes = 0;
-  auto ok = DistributedJoin(&cluster, spec, opts);
+  auto ok = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->table.num_rows(), 16u);
-  EXPECT_GT(ok->spill_bytes, 0u);
+  EXPECT_GT(ok->stats.spill_bytes, 0u);
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
@@ -347,23 +342,18 @@ TEST_F(ExchangeSpillTest, BuildSideSpillKeepsJoinBitIdentical) {
     ASSERT_TRUE(t.Commit().ok());
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "lookup";
-  spec.left_key = "o_id";
-  spec.right_key = "l_id";
-
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kBroadcast;
-  auto plain = DistributedJoin(&cluster, spec, opts);
+  DistOpPtr plan =
+      JoinPlan("orders", "lookup", "o_id", "l_id", JoinStrategy::kBroadcast);
+  DistExecOptions opts;
+  auto plain = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_TRUE(plain.ok());
 
   opts.max_build_bytes = 256;  // well under the broadcast side's size
   opts.spill_dir = dir_.string();
-  auto spooled = DistributedJoin(&cluster, spec, opts);
+  auto spooled = ExecuteDistPlan(&cluster, plan, opts);
   ASSERT_TRUE(spooled.ok()) << spooled.status().ToString();
-  EXPECT_GT(spooled->build_spill_bytes, 0u);
-  EXPECT_GT(spooled->sim_latency_us, plain->sim_latency_us);
+  EXPECT_GT(spooled->stats.build_spill_bytes, 0u);
+  EXPECT_GT(spooled->stats.sim_latency_us, plain->stats.sim_latency_us);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_spilled"), 0);
   EXPECT_EQ(FilesInDir(), 0u);
 

@@ -12,8 +12,8 @@
 #include <atomic>
 #include <thread>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "plan_shapes.h"
 #include "sql/executor.h"
 
 namespace ofi::cluster {
@@ -81,12 +81,6 @@ TEST(VacuumExchangeStressTest, JoinsStayExactWhileVacuumRuns) {
     }
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "fact";
-  spec.right_table = "dim";
-  spec.left_key = "dim_id";
-  spec.right_key = "d_id";
-
   // Single-node reference over the final committed images.
   sql::Catalog catalog;
   catalog.Register("fact", Table(fact, fact_rows));
@@ -110,10 +104,10 @@ TEST(VacuumExchangeStressTest, JoinsStayExactWhileVacuumRuns) {
   });
 
   for (int iter = 0; iter < 12; ++iter) {
-    DistributedJoinOptions opts;
-    opts.strategy = iter % 2 == 0 ? JoinStrategy::kBroadcast
-                                  : JoinStrategy::kRepartition;
-    auto result = DistributedJoin(&cluster, spec, opts);
+    auto result = ExecuteDistPlan(
+        &cluster, JoinPlan("fact", "dim", "dim_id", "d_id",
+                           iter % 2 == 0 ? JoinStrategy::kBroadcast
+                                         : JoinStrategy::kRepartition));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::vector<Row> got = Canonical(result->table);
     ASSERT_EQ(got.size(), want.size()) << "iter " << iter;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -30,10 +31,14 @@ TEST(MvccConcurrencyTest, ConcurrentScansAndCommittedWrites) {
   constexpr int kPerWriter = 200;
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
+  // Writers start only once every reader has finished one scan, so the
+  // scans overlap the writes however the threads are scheduled.
+  std::latch readers_ready(kReaders);
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      readers_ready.wait();
       for (int i = 0; i < kPerWriter; ++i) {
         int64_t key = w * kPerWriter + i;
         txn::Xid xid = mgr.Begin();
@@ -51,7 +56,9 @@ TEST(MvccConcurrencyTest, ConcurrentScansAndCommittedWrites) {
   std::atomic<int> scans{0};
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
+      // A failed assertion returns from `scan` only, so the latch is always
+      // released.
+      auto scan = [&] {
         txn::Xid xid = mgr.Begin();
         txn::Snapshot snap = mgr.TakeSnapshot();
         txn::VisibilityChecker vis(&snap, &mgr.clog(), xid);
@@ -65,7 +72,10 @@ TEST(MvccConcurrencyTest, ConcurrentScansAndCommittedWrites) {
         }
         ASSERT_TRUE(mgr.Commit(xid).ok());
         scans.fetch_add(1, std::memory_order_relaxed);
-      }
+      };
+      scan();
+      readers_ready.count_down();
+      while (!stop.load(std::memory_order_acquire)) scan();
     });
   }
 

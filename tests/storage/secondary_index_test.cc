@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -348,12 +349,17 @@ TEST(SecondaryIndexConcurrencyTest, ConcurrentWritersAndProbes) {
   Harness h(SecondaryIndex::Kind::kOrdered);
   constexpr int kWriters = 2;
   constexpr int kPerWriter = 150;
+  constexpr int kProbers = 2;
   constexpr int64_t kMaxGrp = 5;
   std::atomic<bool> stop{false};
+  // Writers start only once every prober has finished one probe, so the
+  // probes overlap the writes however the threads are scheduled.
+  std::latch probers_ready(kProbers);
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      probers_ready.wait();
       Rng rng(100 + w);
       for (int i = 0; i < kPerWriter; ++i) {
         int64_t k = w * kPerWriter + i;
@@ -386,10 +392,12 @@ TEST(SecondaryIndexConcurrencyTest, ConcurrentWritersAndProbes) {
 
   std::vector<std::thread> probers;
   std::atomic<int> probes{0};
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kProbers; ++r) {
     probers.emplace_back([&, r] {
       Rng rng(200 + r);
-      while (!stop.load(std::memory_order_acquire)) {
+      // A failed assertion returns from `probe` only, so the latch is
+      // always released.
+      auto probe = [&] {
         txn::Xid xid = h.mgr.Begin();
         txn::Snapshot s = h.mgr.TakeSnapshot();
         txn::VisibilityChecker vis = h.CheckerFor(&s, xid);
@@ -407,7 +415,10 @@ TEST(SecondaryIndexConcurrencyTest, ConcurrentWritersAndProbes) {
         }
         ASSERT_TRUE(h.mgr.Commit(xid).ok());
         probes.fetch_add(1, std::memory_order_relaxed);
-      }
+      };
+      probe();
+      probers_ready.count_down();
+      while (!stop.load(std::memory_order_acquire)) probe();
     });
   }
 
