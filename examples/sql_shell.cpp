@@ -26,9 +26,8 @@
 /// directory, `--spill-budget=N` caps live on-disk spill bytes,
 /// `--build-cap=N` caps the per-DN join build partition, and
 /// `--strict-exchange` restores the old deny-with-ResourceExhausted cap.
-/// `--pipeline[=workers]` runs producer and consumer fragments
-/// concurrently (pipelined exchange; falls back to barrier under
-/// --strict-exchange) with an optional executor thread count.
+/// `--pipeline` runs producer and consumer fragments concurrently
+/// (pipelined exchange; falls back to barrier under --strict-exchange).
 /// `--no-index` disables the optimizer's secondary-index fast path
 /// (every SELECT scans) — the escape hatch for comparing plans.
 #include <cstdio>
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   std::string spill_dir;
   bool strict_exchange = false;
   bool pipeline = false;
-  int pipeline_workers = 0;
   long long delta_merge_threshold = -1;  // -1 = keep the cluster default
   bool no_auto_merge = false;
   bool no_index = false;
@@ -72,13 +70,6 @@ int main(int argc, char** argv) {
       strict_exchange = true;
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       pipeline = true;
-    } else if (std::strncmp(argv[i], "--pipeline=", 11) == 0) {
-      pipeline = true;
-      pipeline_workers = std::atoi(argv[i] + 11);
-      if (pipeline_workers < 1) {
-        std::fprintf(stderr, "bad --pipeline=workers value\n");
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--delta-merge-threshold=", 24) == 0) {
       delta_merge_threshold = std::atoll(argv[i] + 24);
       if (delta_merge_threshold < 1) {
@@ -94,7 +85,7 @@ int main(int argc, char** argv) {
                    "usage: %s [--distributed[=N]] [--exchange-cap=BYTES] "
                    "[--spill-dir=PATH] [--spill-budget=BYTES] "
                    "[--build-cap=BYTES] [--strict-exchange] "
-                   "[--pipeline[=workers]] [--delta-merge-threshold=N] "
+                   "[--pipeline] [--delta-merge-threshold=N] "
                    "[--no-auto-merge] [--no-index]\n",
                    argv[0]);
       return 1;
@@ -118,7 +109,6 @@ int main(int argc, char** argv) {
     dist->exec_options().max_spill_bytes = spill_budget;
     dist->exec_options().max_build_bytes = build_cap;
     dist->exec_options().pipeline = pipeline;
-    dist->exec_options().pipeline_workers = pipeline_workers;
     dist->exec_options().use_index = !no_index;
     if (delta_merge_threshold >= 0) {
       dist->cluster().set_delta_merge_threshold(

@@ -3,8 +3,9 @@
 # CREATE/INSERT/ANALYZE/EXPLAIN/SELECT session into the interactive shell
 # running over a 4-DN simulated cluster and greps the output for the
 # physical plan (scan path, join strategy, partial/final aggregation) and
-# the distributed result annotation. Catches wiring regressions that unit
-# tests of the layers individually would miss.
+# the distributed result annotation, then replays a DROP/re-CREATE and a
+# duplicate-key INSERT in a second session. Catches wiring regressions that
+# unit tests of the layers individually would miss.
 # Usage: scripts/sql_shell_smoke.sh [build-dir]   (default: build-release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,9 +73,48 @@ expect "11 \| 260"
 expect "12 \| 80"
 expect "13 \| 90"
 
+# DDL/DML regressions, in a fresh session: DROP TABLE must free the name
+# on the DNs too (the re-CREATE prints ok and starts empty), and a failing
+# INSERT must not leave the CN mirror ahead of the DNs (the single-node
+# fallback and the lowered scan return the same row count).
+ddl_out="$("${shell}" --distributed=4 <<'SQL'
+CREATE TABLE t (k BIGINT, v BIGINT);
+INSERT INTO t VALUES (1, 10), (2, 20), (3, 30);
+DROP TABLE t;
+CREATE TABLE t (k BIGINT, v BIGINT);
+SELECT k, v FROM t;
+INSERT INTO t VALUES (1, 10), (2, 20);
+INSERT INTO t VALUES (1, 99);
+SELECT k, v FROM t;
+SELECT k, v FROM t UNION ALL SELECT k, v FROM t WHERE k < 0;
+\q
+SQL
+)"
+expect_ddl() {
+  if ! grep -qE "$1" <<<"${ddl_out}"; then
+    echo "MISSING: $1" >&2
+    fail=1
+  fi
+}
+# CREATE, INSERT, DROP, re-CREATE and the second INSERT each print ok.
+if [[ "$(grep -c '^ok$' <<<"${ddl_out}")" -ne 5 ]]; then
+  echo "MISSING: five 'ok' lines (DROP TABLE then re-CREATE)" >&2
+  fail=1
+fi
+expect_ddl "0 rows, distributed over 4 DNs"
+expect_ddl "error: ALREADY_EXISTS"
+expect_ddl "2 rows, distributed over 4 DNs"
+expect_ddl "2 rows, single-node fallback"
+if grep -q "| 99" <<<"${ddl_out}"; then
+  echo "UNEXPECTED: the rejected row (1, 99) is visible" >&2
+  fail=1
+fi
+
 if [[ "${fail}" -ne 0 ]]; then
   echo "--- shell output ---" >&2
   echo "${out}" >&2
+  echo "--- DDL/DML session output ---" >&2
+  echo "${ddl_out}" >&2
   echo "FAIL: sql_shell_smoke" >&2
   exit 1
 fi

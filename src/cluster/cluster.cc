@@ -23,6 +23,18 @@ Status Cluster::CreateTable(const std::string& name, const sql::Schema& schema) 
   return Status::OK();
 }
 
+Status Cluster::DropTable(const std::string& name) {
+  WaitForMerges();
+  for (auto& dn : dns_) OFI_RETURN_NOT_OK(dn->DropTable(name));
+  columnar_tables_.erase(name);
+  {
+    std::lock_guard<std::mutex> lock(indexed_tables_mu_);
+    indexed_tables_.erase(name);
+  }
+  for (auto& shadow : shadows_) shadow.DropTable(name);
+  return Status::OK();
+}
+
 namespace {
 
 /// Builds one DN's delta-store shard and registers it, replacing any

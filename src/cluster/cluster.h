@@ -158,6 +158,11 @@ class Cluster {
 
   /// Creates `name` on every DN; rows are hash-sharded by their key.
   Status CreateTable(const std::string& name, const sql::Schema& schema);
+  /// Drops `name` on every DN — its columnar copy and indexes with it — and
+  /// forgets its replication shadow rows, so the name can be created again.
+  /// Waits for in-flight background merges first: a merge reads the heap it
+  /// folds against. NotFound when the table does not exist.
+  Status DropTable(const std::string& name);
 
   /// Builds a columnar delta-store copy of `name` on every DN (see
   /// storage/delta_store.h): universally visible versions seal into

@@ -8,6 +8,16 @@ Status DataNode::CreateTable(const std::string& name, const sql::Schema& schema)
   return Status::OK();
 }
 
+Status DataNode::DropTable(const std::string& name) {
+  if (tables_.count(name) == 0) {
+    return Status::NotFound("dn" + std::to_string(id_) + ": no table " + name);
+  }
+  DropColumnar(name);
+  DropIndexes(name);
+  tables_.erase(name);
+  return Status::OK();
+}
+
 Result<storage::MvccTable*> DataNode::GetTable(const std::string& name) {
   auto it = tables_.find(name);
   if (it == tables_.end()) {

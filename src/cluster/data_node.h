@@ -30,6 +30,9 @@ class DataNode {
 
   /// Creates this DN's shard of `name`.
   Status CreateTable(const std::string& name, const sql::Schema& schema);
+  /// Drops this DN's shard of `name`: the columnar copy and the indexes are
+  /// detached from the heap first, then the heap goes. NotFound when absent.
+  Status DropTable(const std::string& name);
 
   Result<storage::MvccTable*> GetTable(const std::string& name);
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 
+#include "common/thread_pool.h"
 #include "sql/executor.h"
 #include "storage/delta_store.h"
 #include "txn/snapshot.h"
@@ -592,12 +593,12 @@ Status MergeDeltaIntoGroupedAgg(Table* partial,
   return Status::OK();
 }
 
-/// Dispatches fn(0..n-1) per the parallel/pool options (shared contract
-/// across every fragment: execution mode never changes results).
-void RunScatter(bool parallel, common::ThreadPool* pool, int n,
-                const std::function<void(int)>& fn) {
+/// Dispatches fn(0..n-1) on the shared pool, or inline when !parallel
+/// (shared contract across every fragment: execution mode never changes
+/// results).
+void RunScatter(bool parallel, int n, const std::function<void(int)>& fn) {
   if (parallel) {
-    (pool ? pool : &common::ThreadPool::Shared())->ParallelFor(n, fn);
+    common::ThreadPool::Shared().ParallelFor(n, fn);
   } else {
     for (int i = 0; i < n; ++i) fn(i);
   }
@@ -669,13 +670,20 @@ class DistPlanExecutor {
   Result<DistPlanResult> Run(const DistOpPtr& root);
 
  private:
-  Status ExecScanFragment(const DistOp& scan, bool fused, bool count_naive,
+  /// One leaf fragment (DistScan or DistIndexScan) on every serving DN:
+  /// prepare, source step (heap walk, columnar kernels or index probe),
+  /// residual filter + optional fused partial aggregate, per-DN charge.
+  Status ExecLeafFragment(const DistOp& scan, bool fused, bool count_naive,
                           std::vector<FragSlot>* slots_out);
-  Status ExecIndexScanFragment(const DistOp& scan, bool fused,
-                               std::vector<FragSlot>* slots_out);
   Status ExecJoinFragment(const DistOp& join, const DistOp& left_scan,
                           const DistOp& right_scan, bool fused,
                           std::vector<FragSlot>* slots_out);
+  /// The partial-aggregate specs, cloned for one worker: Bind() caches
+  /// column indices in place, so workers never share expression trees.
+  std::vector<AggSpec> PartialSpecs() const;
+  /// The fused per-DN partial aggregate over `input` (a leaf's surviving
+  /// rows or a DN's join), stored with its byte size in `slot`.
+  Status FusedPartialAgg(sql::PlanPtr input, FragSlot* slot) const;
   Result<Table> FinalAggregate(Table partial_union);
 
   exchange::ExchangeLatencyParams ExchangeParams() const {
@@ -720,12 +728,6 @@ class DistPlanExecutor {
 };
 
 Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
-  if (opts_.parallel && opts_.columnar_morsel_parallel) {
-    return Status::InvalidArgument(
-        "columnar_morsel_parallel requires parallel == false: pool workers "
-        "must not nest ParallelFor (disable the scatter parallelism to "
-        "morsel-parallelize within shards)");
-  }
   pipeline_on_ = opts_.pipeline && !opts_.strict_channel_limit;
   stats_.pipelined = pipeline_on_;
 
@@ -792,8 +794,6 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
              core->kind != DistOpKind::kDistIndexScan) {
     return Status::InvalidArgument("unsupported distributed core operator");
   }
-  const DistOp* index_scan =
-      core->kind == DistOpKind::kDistIndexScan ? core : nullptr;
 
   // Aggregate decomposition before any transaction begins, so plan
   // validation errors surface first.
@@ -810,9 +810,9 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   // route to that DN alone, under the cheap single-shard snapshot (no GTM
   // round trip in GTM-lite) — the core of the index fast path's 5x win.
   const bool single_shard_probe =
-      index_scan != nullptr && index_scan->probe_shard >= 0;
+      core->kind == DistOpKind::kDistIndexScan && core->probe_shard >= 0;
   if (single_shard_probe) {
-    serving_ = {cluster_->EffectiveDn(index_scan->probe_shard)};
+    serving_ = {cluster_->EffectiveDn(core->probe_shard)};
   }
   n_ = static_cast<int>(serving_.size());
   stats_.num_serving = n_;
@@ -844,53 +844,33 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   if (left_scan != nullptr) {
     OFI_RETURN_NOT_OK(
         ExecJoinFragment(*core, *left_scan, *right_scan, fused, &slots));
-  } else if (index_scan != nullptr) {
-    OFI_RETURN_NOT_OK(ExecIndexScanFragment(*core, fused, &slots));
   } else {
     OFI_RETURN_NOT_OK(
-        ExecScanFragment(*core, fused, /*count_naive=*/true, &slots));
+        ExecLeafFragment(*core, fused, /*count_naive=*/true, &slots));
   }
 
-  // Gather: merge per-DN outputs deterministically in DN order.
+  // Gather: merge per-DN outputs deterministically in DN order. Row-shaped
+  // output also counts its encoded bytes for the CN's size-aware receive.
   Table gathered;
   std::vector<size_t> slot_result_bytes(slots.size(), 0);
-  if (rows_gather) {
-    gathered = Table(slots[0].table.schema());
-    size_t slot_idx = 0;
-    for (auto& slot : slots) {
-      OFI_RETURN_NOT_OK(slot.status);
-      slot_result_bytes[slot_idx++] =
+  for (size_t i = 0; i < slots.size(); ++i) {
+    FragSlot& slot = slots[i];
+    OFI_RETURN_NOT_OK(slot.status);
+    if (rows_gather) {
+      slot_result_bytes[i] =
           exchange::EncodedBytes(slot.table.rows(), batch_rows_);
-      stats_.result_bytes +=
-          exchange::EncodedBytes(slot.table.rows(), batch_rows_);
-      stats_.partial_bytes += slot.partial_bytes;
-      stats_.naive_bytes += slot.naive_bytes;
-      if (slot.columnar) {
-        ++stats_.columnar_shards;
-        stats_.scan_stats.MergeFrom(slot.stats);
-      }
-      for (auto& row : slot.table.mutable_rows()) {
-        OFI_RETURN_NOT_OK(gathered.Append(std::move(row)));
-      }
+      stats_.result_bytes += slot_result_bytes[i];
     }
-  } else {
-    bool first_shard = true;
-    for (auto& slot : slots) {
-      OFI_RETURN_NOT_OK(slot.status);
-      stats_.partial_bytes += slot.partial_bytes;
-      stats_.naive_bytes += slot.naive_bytes;
-      if (slot.columnar) {
-        ++stats_.columnar_shards;
-        stats_.scan_stats.MergeFrom(slot.stats);
-      }
-      if (first_shard) {
-        gathered = std::move(slot.table);
-        first_shard = false;
-      } else {
-        for (auto& row : slot.table.mutable_rows()) {
-          OFI_RETURN_NOT_OK(gathered.Append(std::move(row)));
-        }
-      }
+    stats_.partial_bytes += slot.partial_bytes;
+    stats_.naive_bytes += slot.naive_bytes;
+    if (slot.columnar) ++stats_.columnar_shards;
+    stats_.scan_stats.MergeFrom(slot.stats);
+    if (i == 0) {
+      gathered = std::move(slot.table);
+      continue;
+    }
+    for (auto& row : slot.table.mutable_rows()) {
+      OFI_RETURN_NOT_OK(gathered.Append(std::move(row)));
     }
   }
   if (stats_.columnar_shards > 0) {
@@ -979,14 +959,26 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   return out;
 }
 
-Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
+Status DistPlanExecutor::ExecLeafFragment(const DistOp& scan, bool fused,
                                           bool count_naive,
                                           std::vector<FragSlot>* slots_out) {
   const std::string& table = scan.table;
+  const bool index_probe = scan.kind == DistOpKind::kDistIndexScan;
   std::vector<storage::MvccTable*> shard_tables(serving_.size(), nullptr);
+  std::vector<std::shared_ptr<storage::SecondaryIndex>> shard_indexes(
+      serving_.size());
   for (int i = 0; i < n_; ++i) {
-    OFI_ASSIGN_OR_RETURN(shard_tables[static_cast<size_t>(i)],
+    const size_t s = static_cast<size_t>(i);
+    OFI_ASSIGN_OR_RETURN(shard_tables[s],
                          cluster_->dn(serving_[i])->GetTable(table));
+    if (!index_probe) continue;
+    shard_indexes[s] = cluster_->IndexOn(serving_[i], table, scan.index_col);
+    if (shard_indexes[s] == nullptr) {
+      // Dropped between lowering and execution; the caller retries via scan.
+      return Status::NotFound("index on " + scan.index_column +
+                              " no longer exists on dn" +
+                              std::to_string(serving_[i]));
+    }
   }
 
   // Columnar eligibility. The filter must be kernel-recognizable (checked
@@ -994,8 +986,11 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
   // delta shard unions its sealed chunks with the row-format tail the heap
   // listener feeds, evaluated under this transaction's own snapshot, so the
   // columnar result is bit-identical to the row path at any point in time.
+  const bool wanted_columnar = !index_probe &&
+                               scan.path == ScanPath::kColumnar &&
+                               cluster_->IsColumnar(table);
   std::optional<ColumnarPredicate> pred;
-  if (scan.path == ScanPath::kColumnar && cluster_->IsColumnar(table)) {
+  if (wanted_columnar) {
     pred = RecognizeFilter(scan.filter);
     if (!pred.has_value()) {
       cluster_->metrics().Add("columnar.fallback_filter");
@@ -1030,55 +1025,40 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
   // Phase 1 (coordinator thread): open every shard context and charge the
   // simulated fan-out. Opening an already-open shard is free — the second
   // scan fragment of a join chains its statement right after the first
-  // fragment's, exactly as the old single-loop code did. Both scan flavors
-  // charge by work actually done (chunks scanned / heap rows walked), so
-  // their statement cost is only known after phase 2 — record the prepare
-  // completion now and charge the scan afterwards (each DN's resource is
-  // independent, so the deferred charge stays deterministic).
+  // fragment's. Every source charges by work actually done (heap rows
+  // walked, chunks scanned, rows probed), so the statement cost is only
+  // known after phase 2 — record the prepare completion now and charge the
+  // source afterwards (each DN's resource is independent, so the deferred
+  // charge stays deterministic).
   for (int i = 0; i < n_; ++i) {
-    const int dn = serving_[i];
-    OFI_ASSIGN_OR_RETURN(frontier_[static_cast<size_t>(i)],
-                         reader_->PrepareShard(dn, frontier_[static_cast<size_t>(i)]));
+    const size_t s = static_cast<size_t>(i);
+    OFI_ASSIGN_OR_RETURN(frontier_[s],
+                         reader_->PrepareShard(serving_[i], frontier_[s]));
   }
 
-  // Phase 2 (thread pool): per-DN scan (+ fused partial aggregation). Row
-  // shards scan the MVCC heap; columnar shards run the filter/aggregate
-  // kernels over their chunk copy (pure kernels for global int64
-  // aggregates, else filter + Gather + executor). Workers touch only read
-  // paths plus their own slot; expression trees are cloned per worker
-  // because Bind() caches column indices in place. Morsel parallelism
-  // inside a shard is only enabled for inline scatters — pool workers must
-  // not nest ParallelFor.
-  storage::ScanOptions sopts;
-  sopts.parallel = opts_.columnar_morsel_parallel && !opts_.parallel;
-  sopts.pool = opts_.pool;
+  // Phase 2 (thread pool): per DN, the source step produces the shard's
+  // candidate rows — heap walk, columnar kernels, or index probe — and one
+  // tail applies the residual filter and the optional fused partial
+  // aggregate. A columnar shard whose aggregate runs as pure kernels
+  // finishes inside its source step. Workers touch only read paths plus
+  // their own slot.
+  const storage::ScanOptions sopts;
   std::vector<FragSlot>& slots = *slots_out;
-  auto run_shard = [&](int i) {
+  auto run_shard = [&](int i) -> Status {
+    const size_t s = static_cast<size_t>(i);
     const int dn = serving_[i];
-    FragSlot& slot = slots[static_cast<size_t>(i)];
-
-    std::vector<AggSpec> partial_specs;
-    if (fused) {
-      for (const auto& p : plans_) {
-        for (const auto& spec : p.partial) {
-          partial_specs.push_back(AggSpec{
-              spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
-        }
-      }
-    }
-
-    if (col_shards[static_cast<size_t>(i)] != nullptr) {
+    FragSlot& slot = slots[s];
+    const sql::Schema& schema = shard_tables[s]->schema();
+    std::vector<Row> rows;
+    bool filtered = false;  // the source already applied scan.filter
+    if (col_shards[s] != nullptr) {
       // Snapshot the delta shard under this transaction's own visibility:
       // a pinned sealed table, the sealed rows whose delete is visible, and
       // the visible row-format tail. The union below reproduces the row
       // path bit for bit at this snapshot.
-      auto vis = reader_->VisibilityForPrepared(dn);
-      if (!vis.ok()) {
-        slot.status = vis.status();
-        return;
-      }
-      storage::DeltaShard::View view =
-          col_shards[static_cast<size_t>(i)]->Snapshot(*vis);
+      OFI_ASSIGN_OR_RETURN(txn::VisibilityChecker vis,
+                           reader_->VisibilityForPrepared(dn));
+      storage::DeltaShard::View view = col_shards[s]->Snapshot(vis);
       const storage::ColumnTable& ct = *view.sealed;
       slot.columnar = true;
       slot.stats.delta_rows += view.delta_examined;
@@ -1088,21 +1068,17 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
           slot.naive_bytes += sql::RowByteSize(row);
         }
       }
-      auto sel = RunColumnarFilter(ct, *pred, sopts, &slot.stats);
-      if (!sel.ok()) {
-        slot.status = sel.status();
-        return;
-      }
+      OFI_ASSIGN_OR_RETURN(std::optional<std::vector<uint32_t>> sel,
+                           RunColumnarFilter(ct, *pred, sopts, &slot.stats));
       // Fold snapshot exclusions into the selection so every downstream
       // consumer sees one sorted selection (kernel filter output is
       // ascending; View::excluded is sorted).
       if (!view.excluded.empty()) {
         std::vector<uint32_t> kept;
-        if (sel->has_value()) {
-          kept.reserve((*sel)->size());
-          std::set_difference((*sel)->begin(), (*sel)->end(),
-                              view.excluded.begin(), view.excluded.end(),
-                              std::back_inserter(kept));
+        if (sel.has_value()) {
+          kept.reserve(sel->size());
+          std::set_difference(sel->begin(), sel->end(), view.excluded.begin(),
+                              view.excluded.end(), std::back_inserter(kept));
         } else {
           kept.reserve(ct.sealed_rows() - view.excluded.size());
           size_t e = 0;
@@ -1114,7 +1090,7 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
             kept.push_back(r);
           }
         }
-        *sel = std::move(kept);
+        sel = std::move(kept);
       }
       // The delta half of the union: visible tail rows, filtered exactly as
       // the kernels filter the sealed half.
@@ -1125,303 +1101,125 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
           delta_matched.push_back(std::move(row));
         }
       }
-      auto materialize = [&](const std::vector<uint32_t>& s)
-          -> Result<std::vector<Row>> {
-        // Chunk-on-demand materialization: only chunks holding selected rows
-        // are decoded (and charged), matching the kernels' accounting units
-        // of one column-chunk each.
-        return ct.MaterializeRows(s, &slot.stats);
-      };
-      auto all_rows = [&]() {
-        std::vector<uint32_t> all;
-        if (!sel->has_value()) {
-          all.resize(ct.sealed_rows());
-          for (uint32_t k = 0; k < all.size(); ++k) all[k] = k;
-        }
-        return all;
-      };
-      if (fused) {
-        auto compute = [&]() -> Result<Table> {
-          if (kernel_path && agg_group_.empty()) {
-            OFI_ASSIGN_OR_RETURN(
-                Table partial,
-                RunColumnarKernelAgg(ct, sel->has_value() ? &**sel : nullptr,
-                                     pred->never, partial_specs, sopts,
-                                     &slot.stats));
-            OFI_RETURN_NOT_OK(MergeDeltaIntoKernelAgg(
-                &partial, partial_specs, ct.schema(), delta_matched));
-            return partial;
-          }
-          if (kernel_path) {
-            // Grouped kernel. An unsatisfiable predicate arrives as an
-            // empty selection; no filter at all means the whole table.
-            OFI_ASSIGN_OR_RETURN(
-                Table partial,
-                RunColumnarGroupedAgg(ct, agg_group_,
-                                      sel->has_value() ? &**sel : nullptr,
-                                      partial_specs, sopts, &slot.stats));
-            OFI_RETURN_NOT_OK(MergeDeltaIntoGroupedAgg(
-                &partial, agg_group_, partial_specs, ct.schema(),
-                delta_matched));
-            return partial;
-          }
-          // Materialize path: decode the selection into rows, append the
-          // matching delta-tail rows, and run the ordinary partial
-          // aggregate (unsupported agg/group-key types).
-          std::vector<uint32_t> all = all_rows();
+      if (kernel_path) {
+        // Pure kernels: global or grouped partial aggregate over the sealed
+        // selection (an unsatisfiable predicate arrives as an empty
+        // selection; no filter at all means the whole table), then the
+        // delta rows fold in.
+        const std::vector<AggSpec> specs = PartialSpecs();
+        const std::vector<uint32_t>* sel_ptr = sel ? &*sel : nullptr;
+        Table partial;
+        if (agg_group_.empty()) {
+          OFI_ASSIGN_OR_RETURN(partial,
+                               RunColumnarKernelAgg(ct, sel_ptr, pred->never,
+                                                    specs, sopts, &slot.stats));
+          OFI_RETURN_NOT_OK(MergeDeltaIntoKernelAgg(&partial, specs,
+                                                    ct.schema(), delta_matched));
+        } else {
           OFI_ASSIGN_OR_RETURN(
-              std::vector<Row> rows,
-              materialize(sel->has_value() ? **sel : all));
-          for (auto& row : delta_matched) rows.push_back(std::move(row));
-          sql::Catalog shard_catalog;
-          shard_catalog.Register("shard", Table(ct.schema(), std::move(rows)));
-          // Filter already applied by the kernel — scan without it.
-          sql::PlanPtr agg_plan = sql::MakeAggregate(sql::MakeScan("shard"),
-                                                     agg_group_, partial_specs);
-          sql::Executor exec(&shard_catalog);
-          return exec.Execute(agg_plan);
-        };
-        Result<Table> partial = compute();
-        if (!partial.ok()) {
-          slot.status = partial.status();
-          return;
+              partial, RunColumnarGroupedAgg(ct, agg_group_, sel_ptr, specs,
+                                             sopts, &slot.stats));
+          OFI_RETURN_NOT_OK(MergeDeltaIntoGroupedAgg(
+              &partial, agg_group_, specs, ct.schema(), delta_matched));
         }
-        slot.partial_bytes = TableBytes(*partial);
-        slot.table = std::move(*partial);
-        return;
+        slot.partial_bytes = TableBytes(partial);
+        slot.table = std::move(partial);
+        return Status::OK();
       }
-      // Plain columnar scan: materialize the (filtered) selection and
-      // append the matching delta-tail rows. Note the row order is the
-      // columnar clustering order with the tail last, not the MVCC heap
-      // order; consumers treat shard output as unordered.
-      std::vector<uint32_t> all = all_rows();
-      auto rows = materialize(sel->has_value() ? **sel : all);
-      if (!rows.ok()) {
-        slot.status = rows.status();
-        return;
+      // Materialize: decode the (filtered) selection chunk by chunk — only
+      // chunks holding selected rows are decoded and charged — and append
+      // the matching tail. The row order is the columnar clustering order
+      // with the tail last, not the heap order; consumers treat shard
+      // output as unordered.
+      std::vector<uint32_t> all;
+      if (!sel.has_value()) {
+        all.resize(ct.sealed_rows());
+        for (uint32_t k = 0; k < all.size(); ++k) all[k] = k;
       }
-      for (auto& row : delta_matched) rows->push_back(std::move(row));
-      slot.table = Table(ct.schema(), std::move(*rows));
-      return;
+      OFI_ASSIGN_OR_RETURN(rows,
+                           ct.MaterializeRows(sel ? *sel : all, &slot.stats));
+      for (auto& row : delta_matched) rows.push_back(std::move(row));
+      filtered = true;
+    } else {
+      if (index_probe) {
+        // The probe only guarantees the indexed conjunct; the tail re-applies
+        // the FULL original predicate as the residual.
+        OFI_ASSIGN_OR_RETURN(txn::VisibilityChecker vis,
+                             reader_->VisibilityForPrepared(dn));
+        rows = scan.probe_is_range
+                   ? shard_indexes[s]->RangeProbe(scan.probe_lo, scan.probe_hi,
+                                                  vis)
+                   : shard_indexes[s]->Probe(scan.probe_eq, vis);
+        slot.stats.index_rows = rows.size();
+      } else {
+        OFI_ASSIGN_OR_RETURN(rows, reader_->ScanShardPrepared(table, dn));
+        slot.rows_examined = rows.size();
+      }
+      if (count_naive) {
+        for (const auto& row : rows) slot.naive_bytes += sql::RowByteSize(row);
+      }
     }
 
-    auto rows = reader_->ScanShardPrepared(table, dn);
-    if (!rows.ok()) {
-      slot.status = rows.status();
-      return;
-    }
-    slot.rows_examined = rows->size();
-    if (count_naive) {
-      for (const auto& row : *rows) slot.naive_bytes += sql::RowByteSize(row);
-    }
-
-    if (fused) {
-      sql::Catalog shard_catalog;
-      shard_catalog.Register(
-          "shard", Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                         std::move(*rows)));
-      sql::PlanPtr scan_plan =
-          sql::MakeScan("shard", scan.filter ? scan.filter->Clone() : nullptr);
-      sql::PlanPtr agg_plan =
-          sql::MakeAggregate(scan_plan, agg_group_, partial_specs);
-      sql::Executor exec(&shard_catalog);
-      auto partial = exec.Execute(agg_plan);
-      if (!partial.ok()) {
-        slot.status = partial.status();
-        return;
-      }
-      slot.partial_bytes = TableBytes(*partial);
-      slot.table = std::move(*partial);
-      return;
-    }
-
-    // Plain row scan: apply the pushed-down filter in place.
-    if (scan.filter) {
-      // Cloned per worker: Bind() caches column indices in place.
+    // Tail: the residual filter, cloned per worker (Bind() caches column
+    // indices in place), then the optional fused partial aggregate.
+    if (!filtered && scan.filter) {
       sql::ExprPtr f = scan.filter->Clone();
-      Status bind = f->Bind(shard_tables[static_cast<size_t>(i)]->schema());
-      if (!bind.ok()) {
-        slot.status = bind;
-        return;
-      }
+      OFI_RETURN_NOT_OK(f->Bind(schema));
       std::vector<Row> kept;
-      kept.reserve(rows->size());
-      for (auto& row : *rows) {
+      kept.reserve(rows.size());
+      for (auto& row : rows) {
         Value v = f->Eval(row);
         if (!v.is_null() && v.AsBool()) kept.push_back(std::move(row));
       }
-      *rows = std::move(kept);
+      rows = std::move(kept);
     }
-    slot.table = Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                       std::move(*rows));
+    if (fused) {
+      return FusedPartialAgg(sql::MakeValues(Table(schema, std::move(rows))),
+                             &slot);
+    }
+    slot.table = Table(schema, std::move(rows));
+    return Status::OK();
   };
-  RunScatter(opts_.parallel, opts_.pool, n_, run_shard);
+  RunScatter(opts_.parallel, n_, [&](int i) {
+    slots[static_cast<size_t>(i)].status = run_shard(i);
+  });
 
-  // Deferred latency. Columnar shards: fixed setup + per-chunk service for
-  // chunks actually scanned + per-block service for delta-tail records
-  // examined (zone-map-pruned chunks cost nothing; a long unmerged tail
-  // shows up directly in sim_latency_us — the incentive to merge). Row
-  // shards: statement setup + per-256-row block service for the heap rows
-  // walked, so scan cost scales with shard size — the baseline an index
-  // probe beats.
+  // Deferred per-DN charge for the work each source did. Heap: statement
+  // setup + per-256-row block for the rows walked, so scan cost scales with
+  // shard size. Columnar: fixed setup + per-chunk service for chunks
+  // actually scanned + per-block service for delta-tail records examined
+  // (zone-map-pruned chunks cost nothing; a long unmerged tail shows up
+  // directly in sim_latency_us — the incentive to merge). Index: fixed
+  // probe setup + per-returned-row copy-out, no heap walk — the asymmetry
+  // the optimizer's crossover banks on. Then the realized-path record
+  // (EXPLAIN / shell reporting).
   for (int i = 0; i < n_; ++i) {
-    if (col_shards[static_cast<size_t>(i)] != nullptr) {
-      frontier_[static_cast<size_t>(i)] = cluster_->ChargeDnColumnarScan(
-          serving_[i], frontier_[static_cast<size_t>(i)],
-          slots[static_cast<size_t>(i)].stats.chunks_scanned,
-          slots[static_cast<size_t>(i)].stats.delta_rows);
-    } else {
-      frontier_[static_cast<size_t>(i)] = cluster_->ChargeDnRowScan(
-          serving_[i], frontier_[static_cast<size_t>(i)],
-          slots[static_cast<size_t>(i)].rows_examined);
-    }
-  }
-
-  // Per-DN realized-path record (EXPLAIN / shell reporting).
-  const bool wanted_columnar =
-      scan.path == ScanPath::kColumnar && cluster_->IsColumnar(table);
-  for (int i = 0; i < n_; ++i) {
+    const size_t s = static_cast<size_t>(i);
+    const FragSlot& slot = slots[s];
     DistExecStats::DnScanInfo info;
     info.dn = serving_[i];
     info.table = table;
-    info.stats = slots[static_cast<size_t>(i)].stats;
-    if (col_shards[static_cast<size_t>(i)] != nullptr) {
+    info.stats = slot.stats;
+    if (index_probe) {
+      frontier_[s] = cluster_->ChargeDnIndexProbe(serving_[i], frontier_[s],
+                                                  slot.stats.index_rows);
+      info.path = "index(" + BareName(scan.index_column) + ")";
+    } else if (col_shards[s] != nullptr) {
+      frontier_[s] = cluster_->ChargeDnColumnarScan(
+          serving_[i], frontier_[s], slot.stats.chunks_scanned,
+          slot.stats.delta_rows);
       if (!fused) {
         info.path = "columnar(materialize)";
-      } else if (kernel_path) {
-        info.path = KernelSupportDetail(!agg_group_.empty(), support);
       } else if (forced_materialize) {
         info.path = "columnar(materialize:forced)";
       } else {
         info.path = KernelSupportDetail(!agg_group_.empty(), support);
       }
-    } else if (wanted_columnar && !pred.has_value()) {
-      info.path = "row(filter)";
     } else {
-      info.path = "row";
+      frontier_[s] = cluster_->ChargeDnRowScan(serving_[i], frontier_[s],
+                                               slot.rows_examined);
+      info.path = wanted_columnar && !pred.has_value() ? "row(filter)" : "row";
     }
-    stats_.per_dn.push_back(std::move(info));
-  }
-  return Status::OK();
-}
-
-Status DistPlanExecutor::ExecIndexScanFragment(const DistOp& scan, bool fused,
-                                               std::vector<FragSlot>* slots_out) {
-  const std::string& table = scan.table;
-  std::vector<storage::MvccTable*> shard_tables(serving_.size(), nullptr);
-  std::vector<std::shared_ptr<storage::SecondaryIndex>> shard_indexes(
-      serving_.size());
-  for (int i = 0; i < n_; ++i) {
-    OFI_ASSIGN_OR_RETURN(shard_tables[static_cast<size_t>(i)],
-                         cluster_->dn(serving_[i])->GetTable(table));
-    shard_indexes[static_cast<size_t>(i)] =
-        cluster_->IndexOn(serving_[i], table, scan.index_col);
-    if (shard_indexes[static_cast<size_t>(i)] == nullptr) {
-      // Dropped between lowering and execution; the caller retries via scan.
-      return Status::NotFound("index on " + scan.index_column +
-                              " no longer exists on dn" +
-                              std::to_string(serving_[i]));
-    }
-  }
-
-  // Phase 1: open every shard context; the probe itself is charged after
-  // phase 2, when the returned-row count is known (deferred like the scans:
-  // per-DN resources are independent, so order does not change the result).
-  for (int i = 0; i < n_; ++i) {
-    OFI_ASSIGN_OR_RETURN(
-        frontier_[static_cast<size_t>(i)],
-        reader_->PrepareShard(serving_[i], frontier_[static_cast<size_t>(i)]));
-  }
-
-  // Phase 2: probe each shard's index under this transaction's snapshot,
-  // re-apply the FULL original predicate as the residual (the probe only
-  // guarantees the indexed conjunct), then optionally fuse the partial
-  // aggregate — result rows are bit-identical to the scan this replaced,
-  // up to shard-output order, which consumers treat as unordered.
-  std::vector<FragSlot>& slots = *slots_out;
-  auto run_shard = [&](int i) {
-    const int dn = serving_[i];
-    FragSlot& slot = slots[static_cast<size_t>(i)];
-    auto vis = reader_->VisibilityForPrepared(dn);
-    if (!vis.ok()) {
-      slot.status = vis.status();
-      return;
-    }
-    std::vector<Row> probed;
-    if (scan.probe_is_range) {
-      probed = shard_indexes[static_cast<size_t>(i)]->RangeProbe(
-          scan.probe_lo, scan.probe_hi, *vis);
-    } else {
-      probed =
-          shard_indexes[static_cast<size_t>(i)]->Probe(scan.probe_eq, *vis);
-    }
-    slot.stats.index_rows = probed.size();
-    for (const auto& row : probed) slot.naive_bytes += sql::RowByteSize(row);
-
-    if (scan.filter) {
-      // Cloned per worker: Bind() caches column indices in place.
-      sql::ExprPtr f = scan.filter->Clone();
-      Status bind = f->Bind(shard_tables[static_cast<size_t>(i)]->schema());
-      if (!bind.ok()) {
-        slot.status = bind;
-        return;
-      }
-      std::vector<Row> kept;
-      kept.reserve(probed.size());
-      for (auto& row : probed) {
-        Value v = f->Eval(row);
-        if (!v.is_null() && v.AsBool()) kept.push_back(std::move(row));
-      }
-      probed = std::move(kept);
-    }
-
-    if (fused) {
-      std::vector<AggSpec> partial_specs;
-      for (const auto& p : plans_) {
-        for (const auto& spec : p.partial) {
-          partial_specs.push_back(AggSpec{
-              spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
-        }
-      }
-      sql::Catalog shard_catalog;
-      shard_catalog.Register(
-          "shard", Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                         std::move(probed)));
-      // Residual already applied above — aggregate without a filter.
-      sql::PlanPtr agg_plan = sql::MakeAggregate(sql::MakeScan("shard"),
-                                                 agg_group_, partial_specs);
-      sql::Executor exec(&shard_catalog);
-      auto partial = exec.Execute(agg_plan);
-      if (!partial.ok()) {
-        slot.status = partial.status();
-        return;
-      }
-      slot.partial_bytes = TableBytes(*partial);
-      slot.table = std::move(*partial);
-      return;
-    }
-    slot.table = Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                       std::move(probed));
-  };
-  RunScatter(opts_.parallel, opts_.pool, n_, run_shard);
-
-  // Deferred probe charge: fixed probe setup + per-returned-row copy-out.
-  // No heap walk, no per-block scan service — this asymmetry is the whole
-  // point-lookup win the optimizer's crossover banks on.
-  for (int i = 0; i < n_; ++i) {
-    frontier_[static_cast<size_t>(i)] = cluster_->ChargeDnIndexProbe(
-        serving_[i], frontier_[static_cast<size_t>(i)],
-        slots[static_cast<size_t>(i)].stats.index_rows);
-  }
-
-  for (int i = 0; i < n_; ++i) {
-    DistExecStats::DnScanInfo info;
-    info.dn = serving_[i];
-    info.table = table;
-    info.path = "index(" + BareName(scan.index_column) + ")";
-    info.stats = slots[static_cast<size_t>(i)].stats;
-    stats_.scan_stats.index_rows +=
-        slots[static_cast<size_t>(i)].stats.index_rows;
     stats_.per_dn.push_back(std::move(info));
   }
   return Status::OK();
@@ -1436,10 +1234,10 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // "prepare once, then one scan statement per side" loop.
   std::vector<FragSlot> left_slots(serving_.size());
   std::vector<FragSlot> right_slots(serving_.size());
-  OFI_RETURN_NOT_OK(ExecScanFragment(left_scan, /*fused=*/false,
+  OFI_RETURN_NOT_OK(ExecLeafFragment(left_scan, /*fused=*/false,
                                      /*count_naive=*/false, &left_slots));
   for (const auto& slot : left_slots) OFI_RETURN_NOT_OK(slot.status);
-  OFI_RETURN_NOT_OK(ExecScanFragment(right_scan, /*fused=*/false,
+  OFI_RETURN_NOT_OK(ExecLeafFragment(right_scan, /*fused=*/false,
                                      /*count_naive=*/false, &right_slots));
   for (const auto& slot : right_slots) OFI_RETURN_NOT_OK(slot.status);
 
@@ -1559,14 +1357,8 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
         sql::MakeValues(Table(left_schema_, std::move(*lrows))),
         sql::MakeValues(Table(right_schema_, std::move(*rrows))), pred);
     if (fused) {
-      std::vector<AggSpec> partial_specs;
-      for (const auto& p : plans_) {
-        for (const auto& spec : p.partial) {
-          partial_specs.push_back(AggSpec{
-              spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
-        }
-      }
-      plan = sql::MakeAggregate(plan, agg_group_, partial_specs);
+      slot.status = FusedPartialAgg(std::move(plan), &slot);
+      return;
     }
     sql::Catalog catalog;  // Values plans read no tables
     sql::Executor exec(&catalog);
@@ -1575,7 +1367,6 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
       slot.status = joined.status();
       return;
     }
-    if (fused) slot.partial_bytes = TableBytes(*joined);
     slot.table = std::move(*joined);
   };
 
@@ -1599,7 +1390,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     // Barrier mode: every producer fully scatters, then every consumer
     // joins. The scatter and join phases each fan out on the shared pool.
     if (strategy == JoinStrategy::kBroadcast) {
-      RunScatter(opts_.parallel, opts_.pool, n_, [&](int i) {
+      RunScatter(opts_.parallel, n_, [&](int i) {
         if (stats_.broadcast_left) {
           send_status[static_cast<size_t>(i)] = exchange::BroadcastRows(
               &left_net, i, left_slots[static_cast<size_t>(i)].table.rows());
@@ -1609,7 +1400,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
         }
       });
     } else {
-      RunScatter(opts_.parallel, opts_.pool, n_, [&](int i) {
+      RunScatter(opts_.parallel, n_, [&](int i) {
         Status st = exchange::ShufflePartition(
             &left_net, i, left_slots[static_cast<size_t>(i)].table.rows(),
             left_key_idx_);
@@ -1623,7 +1414,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     }
     emit_exchange_failures();
     for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
-    RunScatter(opts_.parallel, opts_.pool, n_,
+    RunScatter(opts_.parallel, n_,
                [&](int j) { consume_at(j, /*wait=*/false); });
   } else {
     // Pipelined mode: all N producers and all N consumers run together on
@@ -1634,7 +1425,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     // is deliberately not used — its workers must never block on each
     // other (ParallelFor must not nest), and these consumers block by
     // design.
-    common::ThreadPool pipe_pool(std::max(2 * n_, opts_.pipeline_workers));
+    common::ThreadPool pipe_pool(2 * n_);
     std::latch all_done(static_cast<std::ptrdiff_t>(2 * n_));
     for (int i = 0; i < n_; ++i) {
       pipe_pool.Submit([&, i] {
@@ -1796,6 +1587,29 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   stats_.joined = true;
   // Per-DN join statuses stay in the slots: the gather loop surfaces them
   // (the old code also finished the exchange accounting before checking).
+  return Status::OK();
+}
+
+std::vector<AggSpec> DistPlanExecutor::PartialSpecs() const {
+  std::vector<AggSpec> specs;
+  for (const auto& p : plans_) {
+    for (const auto& spec : p.partial) {
+      specs.push_back(
+          AggSpec{spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
+    }
+  }
+  return specs;
+}
+
+Status DistPlanExecutor::FusedPartialAgg(sql::PlanPtr input,
+                                         FragSlot* slot) const {
+  sql::Catalog catalog;  // Values plans read no tables
+  sql::Executor exec(&catalog);
+  OFI_ASSIGN_OR_RETURN(
+      slot->table,
+      exec.Execute(sql::MakeAggregate(std::move(input), agg_group_,
+                                      PartialSpecs())));
+  slot->partial_bytes = TableBytes(slot->table);
   return Status::OK();
 }
 

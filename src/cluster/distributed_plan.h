@@ -38,7 +38,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/exchange/exchange.h"
-#include "common/thread_pool.h"
 #include "optimizer/stats.h"
 #include "sql/plan.h"
 
@@ -182,15 +181,9 @@ struct DistExecOptions {
   /// always scan (the sql_shell --no-index escape hatch); execution of an
   /// already-lowered index plan is unaffected.
   bool use_index = true;
-  /// Pool override; nullptr uses common::ThreadPool::Shared().
-  common::ThreadPool* pool = nullptr;
   /// Let LowerSelectPlan serve scans from a registered columnar copy.
   /// Execution follows the plan's ScanPath.
   bool use_columnar = true;
-  /// Morsel-parallel columnar shard scans. Only valid with parallel ==
-  /// false (pool workers must not nest ParallelFor); the combination with
-  /// parallel == true is rejected with InvalidArgument.
-  bool columnar_morsel_parallel = false;
   size_t batch_rows = 64;
   /// Per-exchange-channel in-memory queued-byte cap; 0 = unbounded. A Send
   /// over the cap transparently spills the batch to a per-channel temp file
@@ -226,12 +219,10 @@ struct DistExecOptions {
   /// overlap-aware accounting, see SimulatePipelinedExchange). Ignored —
   /// falls back to the barrier — under strict_channel_limit, whose
   /// deny-on-overflow outcome would otherwise depend on consumer timing.
+  /// The producer and consumer tasks run on a dedicated pool of
+  /// 2×(serving DNs) threads, so every blocking consumer can coexist with
+  /// every producer.
   bool pipeline = false;
-  /// Threads for the pipelined producer/consumer tasks; the executor always
-  /// uses at least 2×(serving DNs) so every blocking consumer can coexist
-  /// with every producer (fewer would deadlock until the pop deadline).
-  /// 0 = exactly that minimum.
-  int pipeline_workers = 0;
 };
 
 /// Accounting produced by one distributed plan execution, filled in by

@@ -14,17 +14,7 @@ Result<sql::PlanPtr> DistributedSqlSession::PlanQuery(
   // The ordinary cost-based front-end plans against the CN mirror; the
   // cluster only enters the picture at lowering time.
   optimizer::Optimizer opt(&catalog_, &stats_, /*store=*/nullptr);
-  sql::JoinPlanner join_planner =
-      [&opt](std::vector<sql::PlannedScan> scans,
-             std::vector<sql::ExprPtr> preds) -> Result<sql::PlanPtr> {
-    std::vector<optimizer::ScanSpec> specs;
-    specs.reserve(scans.size());
-    for (auto& s : scans) {
-      specs.push_back(optimizer::ScanSpec{s.table, s.predicate, s.alias});
-    }
-    return opt.PlanJoinQuery(std::move(specs), std::move(preds));
-  };
-  return sql::PlanSelect(stmt, catalog_, join_planner);
+  return opt.PlanSelect(stmt);
 }
 
 void DistributedSqlSession::AdvanceClock(SimTime done) {
@@ -119,8 +109,7 @@ Result<sql::Table> DistributedSqlSession::Execute(
     }
     case sql::StatementKind::kDropTable: {
       OFI_RETURN_NOT_OK(catalog_.Drop(stmt.drop_table->table));
-      cluster_.DropColumnar(stmt.drop_table->table);
-      cluster_.DropIndexes(stmt.drop_table->table);
+      OFI_RETURN_NOT_OK(cluster_.DropTable(stmt.drop_table->table));
       return sql::Table{};
     }
     case sql::StatementKind::kCreateIndex: {
@@ -143,13 +132,15 @@ Result<sql::Table> DistributedSqlSession::Execute(
         if (row.empty()) {
           return Status::InvalidArgument("cannot insert an empty row");
         }
-        // Mirror first: it validates the row shape before anything ships.
-        OFI_RETURN_NOT_OK(table->Append(row));
         Txn txn = cluster_.Begin(TxnScope::kSingleShard, clock_);
         Status st = txn.Insert(insert.table, row[0], row);
         if (st.ok()) st = txn.Commit();
         AdvanceClock(txn.now());
         OFI_RETURN_NOT_OK(st);
+        // Mirror only what the DN committed (the DN rejects a wrong arity or
+        // a duplicate key first), so the single-node fallback reads exactly
+        // the rows a lowered plan reads.
+        OFI_RETURN_NOT_OK(table->Append(row));
       }
       // Keep statistics fresh enough for small interactive sessions.
       stats_.Put(insert.table, optimizer::AnalyzeTable(*table));

@@ -37,6 +37,8 @@ class ShadowShard {
  public:
   /// Applies one committed record.
   void Apply(const ReplicationRecord& record);
+  /// Forgets every record of a dropped table.
+  void DropTable(const std::string& table) { tables_.erase(table); }
 
   /// All live rows of one table (promotion source).
   const std::map<std::string, std::map<std::string, ReplicationRecord>>& tables()

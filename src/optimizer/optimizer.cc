@@ -7,6 +7,21 @@
 
 namespace ofi::optimizer {
 
+Result<sql::PlanPtr> Optimizer::PlanSelect(
+    const sql::SelectStatement& stmt) const {
+  sql::JoinPlanner join_planner =
+      [this](std::vector<sql::PlannedScan> scans,
+             std::vector<sql::ExprPtr> preds) -> Result<sql::PlanPtr> {
+    std::vector<ScanSpec> specs;
+    specs.reserve(scans.size());
+    for (auto& s : scans) {
+      specs.push_back(ScanSpec{s.table, s.predicate, s.alias});
+    }
+    return PlanJoinQuery(std::move(specs), std::move(preds));
+  };
+  return sql::PlanSelect(stmt, *catalog_, join_planner);
+}
+
 Result<sql::PlanPtr> Optimizer::PlanJoinQuery(
     std::vector<ScanSpec> scans, std::vector<sql::ExprPtr> join_preds) const {
   if (scans.empty()) return Status::InvalidArgument("no relations to plan");

@@ -13,6 +13,7 @@
 #include "optimizer/stats.h"
 #include "sql/executor.h"
 #include "sql/plan.h"
+#include "sql/planner.h"
 
 namespace ofi::optimizer {
 
@@ -37,6 +38,10 @@ class Optimizer {
   /// Join predicates are attached as soon as both sides are in the prefix.
   Result<sql::PlanPtr> PlanJoinQuery(std::vector<ScanSpec> scans,
                                      std::vector<sql::ExprPtr> join_preds) const;
+
+  /// Plans a SELECT against the catalog with PlanJoinQuery as the join
+  /// orderer (sql::PlanSelect's JoinPlanner hook).
+  Result<sql::PlanPtr> PlanSelect(const sql::SelectStatement& stmt) const;
 
   /// Annotates estimated cardinalities (plan store consulted first).
   void Annotate(const sql::PlanPtr& plan) const { estimator_.Annotate(plan.get()); }

@@ -8,18 +8,7 @@ SqlSession::SqlSession(double capture_threshold)
 
 Result<sql::PlanPtr> SqlSession::PlanQuery(const sql::SelectStatement& stmt) {
   Optimizer opt(&catalog_, &stats_, learning_ ? &store_ : nullptr);
-  sql::JoinPlanner join_planner =
-      [&opt](std::vector<sql::PlannedScan> scans,
-             std::vector<sql::ExprPtr> preds) -> Result<sql::PlanPtr> {
-    std::vector<ScanSpec> specs;
-    specs.reserve(scans.size());
-    for (auto& s : scans) {
-      specs.push_back(ScanSpec{s.table, s.predicate, s.alias});
-    }
-    return opt.PlanJoinQuery(std::move(specs), std::move(preds));
-  };
-  OFI_ASSIGN_OR_RETURN(sql::PlanPtr plan,
-                       sql::PlanSelect(stmt, catalog_, join_planner));
+  OFI_ASSIGN_OR_RETURN(sql::PlanPtr plan, opt.PlanSelect(stmt));
   opt.Annotate(plan);
   return plan;
 }

@@ -241,6 +241,61 @@ TEST_F(DistributedSqlTest, FallbackShapesStillAnswerCorrectly) {
   EXPECT_FALSE(dist_.last().distributed);
 }
 
+/// The same relation read through a lowered scan and through a UNION ALL
+/// that falls back to the CN mirror.
+constexpr const char* kLoweredT = "SELECT k, v FROM t";
+constexpr const char* kFallbackT =
+    "SELECT k, v FROM t UNION ALL SELECT k, v FROM t WHERE k < 0";
+
+TEST_F(DistributedSqlTest, DropThenCreateStartsEmptyOnBothPaths) {
+  Exec("CREATE TABLE t (k BIGINT, v BIGINT)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
+  Exec("CREATE INDEX t_v ON t (v)");
+  ASSERT_TRUE(dist_.RegisterColumnar("t").ok());
+  Exec("DROP TABLE t");
+  EXPECT_FALSE(dist_.cluster().IsColumnar("t"));
+  EXPECT_FALSE(dist_.cluster().HasIndex("t", "v"));
+
+  Exec("CREATE TABLE t (k BIGINT, v BIGINT)");
+  EXPECT_EQ(Query(kLoweredT).num_rows(), 0u);
+  EXPECT_TRUE(dist_.last().distributed);
+  EXPECT_EQ(Query(kFallbackT).num_rows(), 0u);
+  EXPECT_FALSE(dist_.last().distributed);
+
+  // The new table takes rows; nothing of the old one comes back.
+  Exec("INSERT INTO t VALUES (1, 11)");
+  EXPECT_EQ(Query(kLoweredT).num_rows(), 1u);
+  EXPECT_TRUE(dist_.last().distributed);
+  EXPECT_EQ(Query(kFallbackT).num_rows(), 1u);
+  EXPECT_FALSE(dist_.last().distributed);
+}
+
+TEST_F(DistributedSqlTest, FailedInsertKeepsLoweredAndFallbackInAgreement) {
+  Exec("CREATE TABLE t (k BIGINT, v BIGINT)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20)");
+  auto dup = dist_.Execute("INSERT INTO t VALUES (1, 99)");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_TRUE(dup.status().IsAlreadyExists()) << dup.status().ToString();
+
+  auto check_paths_agree = [&](size_t rows) {
+    auto lowered = dist_.Execute(kLoweredT);
+    ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+    EXPECT_TRUE(dist_.last().distributed);
+    auto fallback = dist_.Execute(kFallbackT);
+    ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+    EXPECT_FALSE(dist_.last().distributed);
+    EXPECT_EQ(lowered->num_rows(), rows);
+    ExpectSameRows(*fallback, *lowered, kFallbackT);
+  };
+  check_paths_agree(2);
+
+  // A multi-row INSERT failing midway keeps the rows committed before the
+  // failure, on both paths alike.
+  auto partial = dist_.Execute("INSERT INTO t VALUES (3, 30), (2, 99), (4, 40)");
+  ASSERT_FALSE(partial.ok());
+  check_paths_agree(3);
+}
+
 TEST_F(DistributedSqlTest, AcceptanceJoinAggregateOverFourDns) {
   // The headline shape: SELECT with WHERE + equi-join + GROUP BY through
   // the SQL front-end, distributed across >= 3 DNs, bit-identical to the
@@ -657,16 +712,6 @@ TEST(DistPlanShapeTest, MalformedPlansAreRejected) {
                            /*gather_rows=*/false));
   ASSERT_FALSE(lonely.ok());
   EXPECT_TRUE(lonely.status().IsInvalidArgument());
-
-  // The morsel footgun is rejected at the plan executor too.
-  DistExecOptions bad;
-  bad.parallel = true;
-  bad.columnar_morsel_parallel = true;
-  auto footgun = ExecuteDistPlan(
-      &cluster, MakeGather(MakeDistScan("t", nullptr), /*gather_rows=*/true),
-      bad);
-  ASSERT_FALSE(footgun.ok());
-  EXPECT_TRUE(footgun.status().IsInvalidArgument());
 }
 
 TEST(DistPlanShapeTest, PlainDistributedScanGathersRows) {

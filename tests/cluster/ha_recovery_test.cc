@@ -58,6 +58,20 @@ TEST_F(HaTest, FailoverServesCommittedData) {
   ASSERT_TRUE(r.Commit().ok());
 }
 
+TEST_F(HaTest, DroppedTableDoesNotComeBackAtFailover) {
+  ASSERT_TRUE(cluster_.DropTable("t").ok());
+  EXPECT_EQ(cluster_.shadow(0).live_rows(), 0u);
+  EXPECT_TRUE(cluster_.DropTable("t").IsNotFound());
+
+  // The re-created table starts empty, and promotion replays nothing of
+  // the dropped one into it.
+  ASSERT_TRUE(cluster_.CreateTable("t", KvSchema()).ok());
+  ASSERT_TRUE(cluster_.FailDn(0).ok());
+  Txn r = cluster_.Begin(TxnScope::kSingleShard);
+  EXPECT_TRUE(r.Read("t", keys_[0]).status().IsNotFound());
+  ASSERT_TRUE(r.Commit().ok());
+}
+
 TEST_F(HaTest, WritesContinueAfterFailover) {
   ASSERT_TRUE(cluster_.FailDn(0).ok());
   Txn w = cluster_.Begin(TxnScope::kSingleShard);
