@@ -1,10 +1,13 @@
 /// Golden values for every leaf-fragment flavour and both join strategies:
 /// each case runs one distributed plan on a fixed 4-DN data set and pins
 /// its simulated latency, the realized per-DN scan path, the scan counters,
-/// the byte accounting and the answer rows. The executor's per-DN charge
-/// order decides the simulated numbers, so any refactor of the fragment
-/// drivers that reorders or drops a charge shows up here as a changed
-/// figure, not just as a changed ratio between two runs.
+/// the byte accounting and the answer rows. Join cases also pin the
+/// per-channel exchange traffic; they run under the barrier and the
+/// pipelined schedule, and one with a capped (spilling) channel window.
+/// The executor's per-DN charge order decides the simulated numbers, so
+/// any refactor of the fragment drivers that reorders or drops a charge
+/// shows up here as a changed figure, not just as a changed ratio between
+/// two runs.
 #include <algorithm>
 #include <functional>
 #include <memory>
@@ -150,7 +153,23 @@ std::string Fingerprint(const DistPlanResult& r) {
          (st.broadcast_left ? "/left" : "/right") +
          " x=" + std::to_string(st.shuffle_bytes) + "/" +
          std::to_string(st.broadcast_bytes) + "/" +
-         std::to_string(st.exchange_batches);
+         std::to_string(st.exchange_batches) + " ch=[";
+    for (size_t i = 0; i < st.channels.size(); ++i) {
+      const exchange::ChannelStats& ch = st.channels[i];
+      s += (i > 0 ? " " : "") + std::to_string(ch.src) + ">" +
+           std::to_string(ch.dst) + ":" + std::to_string(ch.bytes) + "/" +
+           std::to_string(ch.batches);
+    }
+    s += "]";
+    if (st.pipelined) {
+      // Real spill counters are not pinned here: with consumers draining
+      // concurrently they depend on thread timing.
+      s += " pipe overlap=" + std::to_string(st.pipeline_overlap_us) +
+           " streamed=" + std::to_string(st.batches_streamed);
+    } else {
+      s += " spill=" + std::to_string(st.spill_bytes) + "/" +
+           std::to_string(st.spill_segments);
+    }
   }
   std::vector<std::string> rows;
   for (const Row& row : r.table.rows()) {
@@ -172,6 +191,8 @@ struct GoldenCase {
   std::function<DistOpPtr(Cluster*)> plan;
   bool force_materialize;
   const char* golden;
+  bool pipeline = false;
+  size_t max_channel_bytes = 0;
 };
 
 const std::vector<GoldenCase>& Cases() {
@@ -341,12 +362,14 @@ const std::vector<GoldenCase>& Cases() {
        "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
        "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
        "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
-       "mo0 dt0 ix0] join=broadcast/left x=0/1140/12 rows=9: "
-       "(1,'west',1,0,1,'n1',7) (2,'north',2,0,2,'n2',14) "
-       "(3,'south',3,0,3,'n0',21) (4,'east',4,0,4,'n1',28) "
-       "(5,'west',5,0,5,'n2',35) (6,'north',6,0,6,'n0',42) "
-       "(7,'south',7,0,7,'n1',49) (8,'east',8,0,8,'n2',56) "
-       "(9,'west',9,0,9,'n0',63)"},
+       "mo0 dt0 ix0] join=broadcast/left x=0/1140/12 ch=[0>0:84/1 0>1:84/1 "
+       "0>2:84/1 0>3:84/1 1>0:124/1 1>1:124/1 1>2:124/1 1>3:124/1 2>0:86/1 "
+       "2>1:86/1 2>2:86/1 2>3:86/1 3>0:86/1 3>1:86/1 3>2:86/1 3>3:86/1] "
+       "spill=0/0 rows=9: (1,'west',1,0,1,'n1',7) "
+       "(2,'north',2,0,2,'n2',14) (3,'south',3,0,3,'n0',21) "
+       "(4,'east',4,0,4,'n1',28) (5,'west',5,0,5,'n2',35) "
+       "(6,'north',6,0,6,'n0',42) (7,'south',7,0,7,'n1',49) "
+       "(8,'east',8,0,8,'n2',56) (9,'west',9,0,9,'n0',63)"},
       {"BroadcastJoinFusedColumnarInput",
        [](Cluster*) {
          return Fused(SalesDimsJoin(JoinStrategy::kBroadcast,
@@ -358,15 +381,18 @@ const std::vector<GoldenCase>& Cases() {
        },
        false,
        "sim=432 dns=4 bytes=264/361774/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
-       "ix0] dn0:sales:columnar(materialize)[c10/5/5 d10593 m2226 mo1 "
-       "dt10 ix0] dn1:sales:columnar(materialize)[c10/5/5 d10598 m2227 "
-       "mo1 dt10 ix0] dn2:sales:columnar(materialize)[c10/5/5 d10598 "
-       "m2227 mo1 dt10 ix0] dn3:sales:columnar(materialize)[c10/5/5 "
-       "d10597 m2227 mo1 dt10 ix0] dn0:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
-       "dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn2:dims:row[c0/0/0 d0 m0 "
-       "mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
-       "join=broadcast/right x=0/1440/12 rows=3: ('n0',3340,1501411) "
-       "('n1',2784,1251739) ('n2',2783,1250895)"},
+       "ix0] dn0:sales:columnar(materialize)[c10/5/5 d10593 m2226 mo1 dt10 "
+       "ix0] dn1:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
+       "ix0] dn2:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
+       "ix0] dn3:sales:columnar(materialize)[c10/5/5 d10597 m2227 mo1 dt10 "
+       "ix0] dn0:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 "
+       "m0 mo0 dt0 ix0] dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] join=broadcast/right "
+       "x=0/1440/12 ch=[0>0:120/1 0>1:120/1 0>2:120/1 0>3:120/1 1>0:120/1 "
+       "1>1:120/1 1>2:120/1 1>3:120/1 2>0:120/1 2>1:120/1 2>2:120/1 "
+       "2>3:120/1 3>0:120/1 3>1:120/1 3>2:120/1 3>3:120/1] spill=0/0 "
+       "rows=3: ('n0',3340,1501411) ('n1',2784,1251739) "
+       "('n2',2783,1250895)"},
       {"RepartitionJoin",
        [](Cluster*) {
          return Rows(SalesDimsJoin(JoinStrategy::kRepartition,
@@ -379,7 +405,8 @@ const std::vector<GoldenCase>& Cases() {
        "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
        "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
        "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
-       "mo0 dt0 ix0] join=repartition/left x=860/0/8 rows=9: "
+       "mo0 dt0 ix0] join=repartition/left x=860/0/8 ch=[0>1:204/2 "
+       "1>0:244/2 2>3:206/2 3>2:206/2] spill=0/0 rows=9: "
        "(1,'west',1,0,1,'n1',7) (2,'north',2,0,2,'n2',14) "
        "(3,'south',3,0,3,'n0',21) (4,'east',4,0,4,'n1',28) "
        "(5,'west',5,0,5,'n2',35) (6,'north',6,0,6,'n0',42) "
@@ -394,15 +421,121 @@ const std::vector<GoldenCase>& Cases() {
                        {AggFunc::kMax, "d_w", "w"}});
        },
        false,
-       "sim=1933 dns=4 bytes=360/730748/0 col=0 scan=[c0/0/0 d0 m0 mo0 "
-       "dt0 ix0] dn0:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
-       "dn1:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn2:sales:row[c0/0/0 d0 "
-       "m0 mo0 dt0 ix0] dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
-       "dn0:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 "
-       "mo0 dt0 ix0] dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
-       "dn3:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] join=repartition/right "
-       "x=730748/0/288 rows=3: ('n0',6765,0,105) ('n1',5638,0,91) "
+       "sim=1933 dns=4 bytes=360/730748/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "ix0] dn0:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:sales:row[c0/0/0 "
+       "d0 m0 mo0 dt0 ix0] dn2:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] join=repartition/right x=730748/0/288 "
+       "ch=[0>1:180428/72 1>0:180428/72 2>3:184946/72 3>2:184946/72] "
+       "spill=0/0 rows=3: ('n0',6765,0,105) ('n1',5638,0,91) "
        "('n2',5637,0,98)"},
+      {"CappedRepartitionJoinFused",
+       [](Cluster*) {
+         return Fused(SalesDimsJoin(JoinStrategy::kRepartition, nullptr),
+                      {"d_name"},
+                      {{AggFunc::kCount, "", "n"},
+                       {AggFunc::kMin, "amount", "lo"},
+                       {AggFunc::kMax, "d_w", "w"}});
+       },
+       false,
+       "sim=3663 dns=4 bytes=360/730748/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "ix0] dn0:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:sales:row[c0/0/0 "
+       "d0 m0 mo0 dt0 ix0] dn2:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] join=repartition/right x=730748/0/288 "
+       "ch=[0>1:180428/72 1>0:180428/72 2>3:184946/72 3>2:184946/72] "
+       "spill=699172/272 rows=3: ('n0',6765,0,105) ('n1',5638,0,91) "
+       "('n2',5637,0,98)",
+       false, /*max_channel_bytes=*/8192},
+      {"PipelinedBroadcastJoin",
+       [](Cluster*) {
+         return Rows(SalesDimsJoin(JoinStrategy::kBroadcast,
+                                   Expr::Lt("amount", Value(1))));
+       },
+       false,
+       "sim=655 dns=4 bytes=0/860/605 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "ix0] dn0:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:sales:row[c0/0/0 "
+       "d0 m0 mo0 dt0 ix0] dn2:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] join=broadcast/left x=0/1140/12 ch=[0>0:84/1 0>1:84/1 "
+       "0>2:84/1 0>3:84/1 1>0:124/1 1>1:124/1 1>2:124/1 1>3:124/1 2>0:86/1 "
+       "2>1:86/1 2>2:86/1 2>3:86/1 3>0:86/1 3>1:86/1 3>2:86/1 3>3:86/1] "
+       "pipe overlap=8 streamed=16 rows=9: (1,'west',1,0,1,'n1',7) "
+       "(2,'north',2,0,2,'n2',14) (3,'south',3,0,3,'n0',21) "
+       "(4,'east',4,0,4,'n1',28) (5,'west',5,0,5,'n2',35) "
+       "(6,'north',6,0,6,'n0',42) (7,'south',7,0,7,'n1',49) "
+       "(8,'east',8,0,8,'n2',56) (9,'west',9,0,9,'n0',63)",
+       /*pipeline=*/true},
+      {"PipelinedBroadcastJoinFusedColumnarInput",
+       [](Cluster*) {
+         return Fused(SalesDimsJoin(JoinStrategy::kBroadcast,
+                                    Expr::Lt("amount", Value(900)),
+                                    ScanPath::kColumnar),
+                      {"d_name"},
+                      {{AggFunc::kCount, "", "n"},
+                       {AggFunc::kSum, "amount", "s"}});
+       },
+       false,
+       "sim=424 dns=4 bytes=264/361774/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "ix0] dn0:sales:columnar(materialize)[c10/5/5 d10593 m2226 mo1 dt10 "
+       "ix0] dn1:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
+       "ix0] dn2:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
+       "ix0] dn3:sales:columnar(materialize)[c10/5/5 d10597 m2227 mo1 dt10 "
+       "ix0] dn0:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 "
+       "m0 mo0 dt0 ix0] dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] join=broadcast/right "
+       "x=0/1440/12 ch=[0>0:120/1 0>1:120/1 0>2:120/1 0>3:120/1 1>0:120/1 "
+       "1>1:120/1 1>2:120/1 1>3:120/1 2>0:120/1 2>1:120/1 2>2:120/1 "
+       "2>3:120/1 3>0:120/1 3>1:120/1 3>2:120/1 3>3:120/1] pipe overlap=8 "
+       "streamed=16 rows=3: ('n0',3340,1501411) ('n1',2784,1251739) "
+       "('n2',2783,1250895)",
+       /*pipeline=*/true},
+      {"PipelinedRepartitionJoin",
+       [](Cluster*) {
+         return Rows(SalesDimsJoin(JoinStrategy::kRepartition,
+                                   Expr::Lt("amount", Value(1))));
+       },
+       false,
+       "sim=651 dns=4 bytes=0/860/605 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "ix0] dn0:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:sales:row[c0/0/0 "
+       "d0 m0 mo0 dt0 ix0] dn2:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] join=repartition/left x=860/0/8 ch=[0>1:204/2 "
+       "1>0:244/2 2>3:206/2 3>2:206/2] pipe overlap=0 streamed=8 rows=9: "
+       "(1,'west',1,0,1,'n1',7) (2,'north',2,0,2,'n2',14) "
+       "(3,'south',3,0,3,'n0',21) (4,'east',4,0,4,'n1',28) "
+       "(5,'west',5,0,5,'n2',35) (6,'north',6,0,6,'n0',42) "
+       "(7,'south',7,0,7,'n1',49) (8,'east',8,0,8,'n2',56) "
+       "(9,'west',9,0,9,'n0',63)",
+       /*pipeline=*/true},
+      {"PipelinedRepartitionJoinFused",
+       [](Cluster*) {
+         return Fused(SalesDimsJoin(JoinStrategy::kRepartition, nullptr),
+                      {"d_name"},
+                      {{AggFunc::kCount, "", "n"},
+                       {AggFunc::kMin, "amount", "lo"},
+                       {AggFunc::kMax, "d_w", "w"}});
+       },
+       false,
+       "sim=1898 dns=4 bytes=360/730748/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "ix0] dn0:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn1:sales:row[c0/0/0 "
+       "d0 m0 mo0 dt0 ix0] dn2:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn3:sales:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn0:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] dn1:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] "
+       "dn2:dims:row[c0/0/0 d0 m0 mo0 dt0 ix0] dn3:dims:row[c0/0/0 d0 m0 "
+       "mo0 dt0 ix0] join=repartition/right x=730748/0/288 "
+       "ch=[0>1:180428/72 1>0:180428/72 2>3:184946/72 3>2:184946/72] pipe "
+       "overlap=32 streamed=288 rows=3: ('n0',6765,0,105) ('n1',5638,0,91) "
+       "('n2',5637,0,98)",
+       /*pipeline=*/true},
   };
   return cases;
 }
@@ -411,6 +544,8 @@ TEST_P(LeafFragmentGoldenTest, MatchesGolden) {
   const GoldenCase& gc = Cases()[static_cast<size_t>(GetParam())];
   DistExecOptions opts;
   opts.columnar_force_materialize = gc.force_materialize;
+  opts.pipeline = gc.pipeline;
+  opts.max_channel_bytes = gc.max_channel_bytes;
   // Each case starts on an idle cluster, so its figures do not depend on
   // which cases ran before it.
   cluster_->ResetSimTime();
