@@ -1262,8 +1262,8 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   }
   stats_.strategy = strategy;
 
-  // Data movement: move rows through the exchange. Each worker only writes
-  // channels whose source is its own node, so sends are race-free by
+  // Data movement: move rows through the exchange. Each producer only
+  // writes channels whose source is its own node, so sends are race-free by
   // construction (channels are mutex-guarded regardless). A channel byte
   // limit bounds the in-memory window; overflow spills to per-channel temp
   // files (or is denied under strict_channel_limit / an exhausted spill
@@ -1275,43 +1275,65 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
                                      spill_cfg);
   exchange::ExchangeNetwork right_net(n_, batch_rows_, opts_.max_channel_bytes,
                                       spill_cfg);
+  // Repartition moves both sides; broadcast moves the smaller one.
+  auto moved = [&](bool is_left) {
+    return strategy == JoinStrategy::kRepartition ||
+           is_left == stats_.broadcast_left;
+  };
   std::vector<Status> send_status(serving_.size(), Status::OK());
-  // Pipelined bookkeeping. send_logs[i] records producer i's flushed batches
-  // in send order (net 0 = left relation, 1 = right) for the deterministic
-  // latency replay; streamed[j] counts the batches consumer j popped through
-  // the blocking path. Each worker writes only its own entry.
+  // send_logs[i] records producer i's flushed batches in send order (net 0 =
+  // left relation, 1 = right) for the pipelined latency replay; streamed[j]
+  // counts the batches consumer j popped. Each task writes only its own
+  // entry.
   std::vector<std::vector<exchange::PipelinedSendRec>> send_logs(
       serving_.size());
   std::vector<size_t> streamed(serving_.size(), 0);
-  constexpr int64_t kPipelinePopTimeoutMs = 60'000;
+  constexpr int64_t kReceiveTimeoutMs = 60'000;
 
-  // Per-DN join (+ fused partial aggregation): each DN assembles its slice
-  // (local rows for the side that did not move, exchange-delivered rows for
-  // the one that did) and runs the ordinary hash join from src/sql on it.
-  // Under max_build_bytes the build partition (the smaller side — the one
-  // broadcast would ship) is spooled through a capped local spill channel
-  // and re-read before the join: encode/decode is lossless, so the result
-  // is bit-identical and the overflow only costs simulated spill I/O.
+  // Producer i scatters each moved side in turn (left, then right). It stops
+  // at the first failure: consumers drain the sides in the same order, so
+  // they fail on that side's close before they wait on a later one.
+  auto produce_at = [&](int i) {
+    Status st;
+    for (const bool is_left : {true, false}) {
+      if (!moved(is_left)) continue;
+      const size_t key = is_left ? left_key_idx_ : right_key_idx_;
+      auto log = exchange::ScatterRows(
+          is_left ? &left_net : &right_net, i,
+          (is_left ? left_slots : right_slots)[static_cast<size_t>(i)]
+              .table.rows(),
+          strategy == JoinStrategy::kRepartition ? std::optional<size_t>(key)
+                                                 : std::nullopt);
+      st = log.status();
+      if (!st.ok()) break;
+      for (const auto& rec : *log) {
+        send_logs[static_cast<size_t>(i)].push_back(
+            exchange::PipelinedSendRec{is_left ? 0 : 1, rec.dst, rec.bytes});
+      }
+    }
+    send_status[static_cast<size_t>(i)] = st;
+  };
+
+  // Consumer j: per-DN join (+ fused partial aggregation). Each DN assembles
+  // its slice (local rows for the side that did not move, exchange-delivered
+  // rows for the one that did) and runs the ordinary hash join from src/sql
+  // on it. Under max_build_bytes the build partition (the smaller side — the
+  // one broadcast would ship) is spooled through a capped one-node exchange
+  // and re-read before the join: encode/decode is lossless, so the result is
+  // bit-identical and the overflow only costs simulated spill I/O.
   exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, /*strict=*/false,
                                           &spill_budget};
   std::vector<FragSlot>& slots = *slots_out;
-  auto consume_at = [&](int j, bool wait) {
+  auto consume_at = [&](int j) {
     FragSlot& slot = slots[static_cast<size_t>(j)];
     auto side_rows = [&](bool is_left) -> Result<std::vector<Row>> {
-      const bool moved = strategy == JoinStrategy::kRepartition ||
-                         (is_left == stats_.broadcast_left);
-      if (!moved) {
+      if (!moved(is_left)) {
         return std::move((is_left ? left_slots : right_slots)[
             static_cast<size_t>(j)].table.mutable_rows());
       }
-      if (wait) {
-        // Pipelined: block until each batch (or the producer's close)
-        // arrives, so decoding overlaps the still-running scatters.
-        return (is_left ? left_net : right_net)
-            .ReceiveRowsWait(j, kPipelinePopTimeoutMs,
-                             &streamed[static_cast<size_t>(j)]);
-      }
-      return (is_left ? left_net : right_net).ReceiveRows(j);
+      return (is_left ? left_net : right_net)
+          .ReceiveRows(j, kReceiveTimeoutMs,
+                       &streamed[static_cast<size_t>(j)]);
     };
     auto spool_build = [&](std::vector<Row>* rows) -> Status {
       if (opts_.max_build_bytes == 0 ||
@@ -1319,24 +1341,12 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
               opts_.max_build_bytes) {
         return Status::OK();  // fits in memory, no round trip
       }
-      exchange::ExchangeChannel ch;
-      exchange::ExchangeChannel::SendLimits limits{opts_.max_build_bytes,
-                                                   &build_cfg};
-      for (size_t b = 0; b < rows->size(); b += batch_rows_) {
-        size_t e = std::min(b + batch_rows_, rows->size());
-        OFI_RETURN_NOT_OK(ch.Send(exchange::EncodeBatch(*rows, b, e), limits));
-      }
-      std::vector<Row> out;
-      out.reserve(rows->size());
-      while (true) {
-        OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, ch.PopBatch());
-        if (!batch.has_value()) break;
-        OFI_ASSIGN_OR_RETURN(std::vector<Row> decoded,
-                             exchange::DecodeBatch(*batch));
-        for (auto& r : decoded) out.push_back(std::move(r));
-      }
-      slot.build_spill_bytes = ch.spilled_bytes();
-      *rows = std::move(out);
+      exchange::ExchangeNetwork spool(1, batch_rows_, opts_.max_build_bytes,
+                                      build_cfg);
+      OFI_RETURN_NOT_OK(
+          exchange::ScatterRows(&spool, 0, *rows, std::nullopt).status());
+      OFI_ASSIGN_OR_RETURN(*rows, spool.ReceiveRows(0, kReceiveTimeoutMs));
+      slot.build_spill_bytes = spool.SpilledBytes();
       return Status::OK();
     };
     auto lrows = side_rows(true);
@@ -1373,7 +1383,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // Hard-limit denials and rolled-back partial sends are emitted
   // immediately (not via pending_metrics_): they describe a query that is
   // about to fail, and pending metrics only replay after a commit.
-  auto emit_exchange_failures = [&] {
+  auto producers_status = [&]() -> Status {
     const size_t denied = left_net.DeniedBytes() + right_net.DeniedBytes();
     if (denied > 0) {
       cluster_->metrics().Add("exchange.bytes_denied",
@@ -1384,104 +1394,40 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
       cluster_->metrics().Add("exchange.bytes_aborted",
                               static_cast<int64_t>(aborted));
     }
+    for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
+    return Status::OK();
   };
 
   if (!pipeline_on_) {
-    // Barrier mode: every producer fully scatters, then every consumer
-    // joins. The scatter and join phases each fan out on the shared pool.
-    if (strategy == JoinStrategy::kBroadcast) {
-      RunScatter(opts_.parallel, n_, [&](int i) {
-        if (stats_.broadcast_left) {
-          send_status[static_cast<size_t>(i)] = exchange::BroadcastRows(
-              &left_net, i, left_slots[static_cast<size_t>(i)].table.rows());
-        } else {
-          send_status[static_cast<size_t>(i)] = exchange::BroadcastRows(
-              &right_net, i, right_slots[static_cast<size_t>(i)].table.rows());
-        }
-      });
-    } else {
-      RunScatter(opts_.parallel, n_, [&](int i) {
-        Status st = exchange::ShufflePartition(
-            &left_net, i, left_slots[static_cast<size_t>(i)].table.rows(),
-            left_key_idx_);
-        if (st.ok()) {
-          st = exchange::ShufflePartition(
-              &right_net, i, right_slots[static_cast<size_t>(i)].table.rows(),
-              right_key_idx_);
-        }
-        send_status[static_cast<size_t>(i)] = st;
-      });
-    }
-    emit_exchange_failures();
-    for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
-    RunScatter(opts_.parallel, n_,
-               [&](int j) { consume_at(j, /*wait=*/false); });
+    // Barrier schedule: every producer fully scatters, then every consumer
+    // joins. Each phase fans out on the shared pool.
+    RunScatter(opts_.parallel, n_, produce_at);
+    OFI_RETURN_NOT_OK(producers_status());
+    RunScatter(opts_.parallel, n_, consume_at);
   } else {
-    // Pipelined mode: all N producers and all N consumers run together on
-    // a dedicated pool so DistHashJoin's probe assembly starts while the
-    // upstream scatters are still streaming batches. The pool is sized to
-    // at least one thread per fragment (2N): fewer could park a producer
-    // behind consumers blocked in PopBatchWait. The shared fixed-size pool
-    // is deliberately not used — its workers must never block on each
-    // other (ParallelFor must not nest), and these consumers block by
-    // design.
+    // Pipelined schedule: all N producers and all N consumers run together
+    // on a dedicated pool so DistHashJoin's probe assembly starts while the
+    // upstream scatters are still streaming batches. The pool has one
+    // thread per task (2N): fewer could park a producer behind consumers
+    // blocked in PopBatchWait. The shared fixed-size pool is deliberately
+    // not used — its workers must never block on each other (ParallelFor
+    // must not nest), and these consumers block by design.
     common::ThreadPool pipe_pool(2 * n_);
     std::latch all_done(static_cast<std::ptrdiff_t>(2 * n_));
     for (int i = 0; i < n_; ++i) {
       pipe_pool.Submit([&, i] {
-        auto scatter_side = [&](exchange::ExchangeNetwork* net, int net_idx,
-                                const std::vector<Row>& rows,
-                                std::optional<size_t> key) -> Status {
-          exchange::ScatterGuard guard(net, i);
-          exchange::StreamingScatter scatter(net, i, key);
-          for (const Row& row : rows) OFI_RETURN_NOT_OK(scatter.Push(row));
-          OFI_RETURN_NOT_OK(scatter.Finish());
-          guard.Commit();
-          for (const auto& rec : scatter.send_log()) {
-            send_logs[static_cast<size_t>(i)].push_back(
-                exchange::PipelinedSendRec{net_idx, rec.dst, rec.bytes});
-          }
-          return Status::OK();
-        };
-        Status st;
-        if (strategy == JoinStrategy::kBroadcast) {
-          st = stats_.broadcast_left
-                   ? scatter_side(
-                         &left_net, 0,
-                         left_slots[static_cast<size_t>(i)].table.rows(),
-                         std::nullopt)
-                   : scatter_side(
-                         &right_net, 1,
-                         right_slots[static_cast<size_t>(i)].table.rows(),
-                         std::nullopt);
-        } else {
-          st = scatter_side(&left_net, 0,
-                            left_slots[static_cast<size_t>(i)].table.rows(),
-                            left_key_idx_);
-          if (st.ok()) {
-            st = scatter_side(&right_net, 1,
-                              right_slots[static_cast<size_t>(i)].table.rows(),
-                              right_key_idx_);
-          }
-        }
-        send_status[static_cast<size_t>(i)] = st;
-        // Success or failure, close every channel this producer owns on
-        // both nets: blocked consumers wake immediately, and an error
-        // status fails them fast instead of letting them time out.
-        left_net.CloseAllFrom(i, st);
-        right_net.CloseAllFrom(i, st);
+        produce_at(i);
         all_done.count_down();
       });
     }
     for (int j = 0; j < n_; ++j) {
       pipe_pool.Submit([&, j] {
-        consume_at(j, /*wait=*/true);
+        consume_at(j);
         all_done.count_down();
       });
     }
     all_done.wait();
-    emit_exchange_failures();
-    for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
+    OFI_RETURN_NOT_OK(producers_status());
   }
 
   // Simulated latency: sends start when a node's scans are done; node j can

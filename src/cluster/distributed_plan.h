@@ -211,17 +211,17 @@ struct DistExecOptions {
   /// aggregate) path even when the fused aggregate is kernel-eligible —
   /// isolates kernel-vs-materialize cost on identical data and plans.
   bool columnar_force_materialize = false;
-  /// Pipelined fragment execution: producers stream batches into the
-  /// exchange as each partition fills (StreamingScatter) while consumers
-  /// drain concurrently with blocking pops, so the join probe / final merge
-  /// starts before the slowest producer finishes. Results are bit-identical
-  /// to barrier execution; only simulated latency changes (per-batch
-  /// overlap-aware accounting, see SimulatePipelinedExchange). Ignored —
-  /// falls back to the barrier — under strict_channel_limit, whose
-  /// deny-on-overflow outcome would otherwise depend on consumer timing.
-  /// The producer and consumer tasks run on a dedicated pool of
-  /// 2×(serving DNs) threads, so every blocking consumer can coexist with
-  /// every producer.
+  /// Pipelined fragment execution: producers and consumers run together,
+  /// so consumers drain each batch as soon as the producer's scatter
+  /// flushes it and the join probe / final merge starts before the slowest
+  /// producer finishes. Both schedules use the same scatter and receive, so
+  /// results are bit-identical to barrier execution; only simulated latency
+  /// changes (per-batch overlap-aware accounting, see
+  /// SimulatePipelinedExchange). Ignored — falls back to the barrier — under
+  /// strict_channel_limit, whose deny-on-overflow outcome would otherwise
+  /// depend on consumer timing. The producer and consumer tasks run on a
+  /// dedicated pool of 2×(serving DNs) threads, so every blocking consumer
+  /// can coexist with every producer.
   bool pipeline = false;
 };
 
@@ -333,9 +333,12 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
                              const DistExecOptions& options = {});
 
 /// Per-DN scan forecast for EXPLAIN: for every DistScan in the plan, one
-/// line per serving DN with the predicted path (columnar fresh / stale /
-/// row), the shard's chunk count and the zone-map pruning estimate for the
-/// scan's recognized filter — computed from metadata only, nothing runs.
+/// line per serving DN with the predicted path (columnar, row, or row when
+/// the filter is not recognized), the shard's sealed chunk count, its
+/// delta-tail rows and the zone-map pruning estimate for the scan's
+/// recognized filter; for every DistIndexScan, one line per probed DN with
+/// the probe and its row estimate. Computed from metadata only, nothing
+/// runs.
 std::string ExplainScanPaths(Cluster* cluster, const DistOpPtr& root);
 
 /// The nodes serving data, one entry per live serving node (after failover

@@ -438,16 +438,6 @@ void ExchangeChannel::Close(Status st) {
   cv_.notify_all();
 }
 
-Result<std::vector<std::string>> ExchangeChannel::Drain() {
-  std::vector<std::string> out;
-  while (true) {
-    OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, PopBatch());
-    if (!batch.has_value()) break;
-    out.push_back(std::move(*batch));
-  }
-  return out;
-}
-
 void ExchangeChannel::Discard() {
   std::lock_guard lock(mu_);
   DiscardLocked();
@@ -519,39 +509,15 @@ void ExchangeChannel::RollbackTo(const Checkpoint& cp) {
 
 // --- ExchangeNetwork ---------------------------------------------------------
 
-Status ExchangeNetwork::SendRows(int src, int dst,
-                                 const std::vector<Row>& rows) {
-  ExchangeChannel& ch = channel(src, dst);
-  const ExchangeChannel::SendLimits limits = send_limits();
-  for (size_t begin = 0; begin < rows.size(); begin += batch_rows_) {
-    size_t end = std::min(begin + batch_rows_, rows.size());
-    OFI_RETURN_NOT_OK(ch.Send(EncodeBatch(rows, begin, end), limits));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<Row>> ExchangeNetwork::ReceiveRows(int dst) {
+Result<std::vector<Row>> ExchangeNetwork::ReceiveRows(int dst,
+                                                      int64_t timeout_ms,
+                                                      size_t* batches_out) {
   std::vector<Row> out;
   for (int src = 0; src < n_; ++src) {
     ExchangeChannel& ch = channel(src, dst);
-    // Stream one batch at a time: the full channel payload never has to be
+    // One batch at a time: the full channel payload never has to be
     // resident — the memory window drains first, then spill segments are
     // read back in send order.
-    while (true) {
-      OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, ch.PopBatch());
-      if (!batch.has_value()) break;
-      OFI_ASSIGN_OR_RETURN(std::vector<Row> rows, DecodeBatch(*batch));
-      for (auto& r : rows) out.push_back(std::move(r));
-    }
-  }
-  return out;
-}
-
-Result<std::vector<Row>> ExchangeNetwork::ReceiveRowsWait(
-    int dst, int64_t timeout_ms, size_t* batches_out) {
-  std::vector<Row> out;
-  for (int src = 0; src < n_; ++src) {
-    ExchangeChannel& ch = channel(src, dst);
     while (true) {
       OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch,
                            ch.PopBatchWait(timeout_ms));
@@ -671,72 +637,66 @@ StreamingScatter::StreamingScatter(ExchangeNetwork* net, int src,
       src_(src),
       key_idx_(key_idx),
       limits_(net->send_limits()),
-      pending_(static_cast<size_t>(net->num_nodes())) {}
+      pending_(key_idx.has_value() ? static_cast<size_t>(net->num_nodes())
+                                   : 1) {}
 
 Status StreamingScatter::Push(const Row& row) {
-  const int n = net_->num_nodes();
+  int dst = 0;
   if (key_idx_.has_value()) {
-    int dst = static_cast<int>(HashForPartition(row[*key_idx_]) %
-                               static_cast<uint64_t>(n));
-    pending_[static_cast<size_t>(dst)].push_back(row);
-    if (pending_[static_cast<size_t>(dst)].size() >= net_->batch_rows()) {
-      OFI_RETURN_NOT_OK(FlushDst(dst));
-    }
-  } else {
-    for (int dst = 0; dst < n; ++dst) {
-      pending_[static_cast<size_t>(dst)].push_back(row);
-      if (pending_[static_cast<size_t>(dst)].size() >= net_->batch_rows()) {
-        OFI_RETURN_NOT_OK(FlushDst(dst));
-      }
-    }
+    dst = static_cast<int>(HashForPartition(row[*key_idx_]) %
+                           static_cast<uint64_t>(net_->num_nodes()));
   }
+  std::vector<Row>& rows = pending_[static_cast<size_t>(dst)];
+  rows.push_back(row);
+  if (rows.size() >= net_->batch_rows()) OFI_RETURN_NOT_OK(Flush(dst));
   return Status::OK();
 }
 
 Status StreamingScatter::Finish() {
-  for (int dst = 0; dst < net_->num_nodes(); ++dst) {
-    if (!pending_[static_cast<size_t>(dst)].empty()) {
-      OFI_RETURN_NOT_OK(FlushDst(dst));
-    }
+  for (size_t d = 0; d < pending_.size(); ++d) {
+    if (!pending_[d].empty()) OFI_RETURN_NOT_OK(Flush(static_cast<int>(d)));
   }
   return Status::OK();
 }
 
-Status StreamingScatter::FlushDst(int dst) {
-  auto& rows = pending_[static_cast<size_t>(dst)];
+Status StreamingScatter::Flush(int d) {
+  std::vector<Row>& rows = pending_[static_cast<size_t>(d)];
   std::string batch = EncodeBatch(rows, 0, rows.size());
+  rows.clear();
+  if (key_idx_.has_value()) return SendOne(std::move(batch), d);
+  const int n = net_->num_nodes();
+  for (int dst = 0; dst + 1 < n; ++dst) OFI_RETURN_NOT_OK(SendOne(batch, dst));
+  return SendOne(std::move(batch), n - 1);
+}
+
+Status StreamingScatter::SendOne(std::string batch, int dst) {
   const size_t bytes = batch.size();
   OFI_RETURN_NOT_OK(net_->channel(src_, dst).Send(std::move(batch), limits_));
   log_.push_back(SendRec{dst, bytes});
-  rows.clear();
   return Status::OK();
 }
 
-Status ShufflePartition(ExchangeNetwork* net, int src,
-                        const std::vector<Row>& rows, size_t key_idx) {
-  const int n = net->num_nodes();
-  std::vector<std::vector<Row>> parts(static_cast<size_t>(n));
-  for (const auto& row : rows) {
-    int dst = static_cast<int>(HashForPartition(row[key_idx]) %
-                               static_cast<uint64_t>(n));
-    parts[static_cast<size_t>(dst)].push_back(row);
-  }
-  ScatterGuard guard(net, src);
-  for (int dst = 0; dst < n; ++dst) {
-    OFI_RETURN_NOT_OK(net->SendRows(src, dst, parts[static_cast<size_t>(dst)]));
-  }
-  guard.Commit();
-  return Status::OK();
-}
-
-Status BroadcastRows(ExchangeNetwork* net, int src,
-                     const std::vector<Row>& rows) {
-  ScatterGuard guard(net, src);
-  for (int dst = 0; dst < net->num_nodes(); ++dst) {
-    OFI_RETURN_NOT_OK(net->SendRows(src, dst, rows));
-  }
-  guard.Commit();
-  return Status::OK();
+Result<std::vector<StreamingScatter::SendRec>> ScatterRows(
+    ExchangeNetwork* net, int src, const std::vector<Row>& rows,
+    std::optional<size_t> key_idx) {
+  Status st;
+  std::vector<StreamingScatter::SendRec> log;
+  {
+    ScatterGuard guard(net, src);
+    StreamingScatter scatter(net, src, key_idx);
+    for (const Row& row : rows) {
+      st = scatter.Push(row);
+      if (!st.ok()) break;
+    }
+    if (st.ok()) st = scatter.Finish();
+    if (st.ok()) {
+      guard.Commit();
+      log = scatter.send_log();
+    }
+  }  // a failed scatter is rolled back before its channels close
+  net->CloseAllFrom(src, st);
+  if (!st.ok()) return st;
+  return log;
 }
 
 SimTime ExchangeServiceTime(size_t bytes, size_t batches,

@@ -3,14 +3,18 @@
 /// between data nodes (paper Fig. 1: data nodes "exchange data on-demand and
 /// execute the query in parallel"). Before this layer the cluster could only
 /// scatter-gather aggregate — rows never crossed shards, so every join was
-/// single-node. The exchange provides the two classic MPP data-movement
-/// operators:
+/// single-node. The exchange has one producer operator, ScatterRows, in
+/// the two classic MPP data-movement flavours, and one consumer,
+/// ExchangeNetwork::ReceiveRows:
 ///
-/// * ShufflePartition — hash-repartition: every node splits its local rows
-///   by a hash of the join key and ships partition j to node j, so rows
-///   with equal keys meet on one node regardless of where they started.
-/// * BroadcastRows — every node ships its full local row set to every other
+/// * hash-repartition (a key column given): every node splits its local
+///   rows by a hash of the join key and ships partition j to node j, so
+///   rows with equal keys meet on one node regardless of where they started;
+/// * broadcast (no key): every node ships its full local row set to every
 ///   node, so one (small) side of a join is complete everywhere.
+///
+/// Barrier and pipelined execution differ only in when producers and
+/// consumers run, never in how rows are framed, sent or received.
 ///
 /// Rows move as *serialized* batches through per-(src,dst) channels with
 /// byte/batch accounting, because bytes moved is the quantity MPP planners
@@ -197,11 +201,11 @@ class ExchangeChannel {
   };
 
   /// Snapshot of the send-side state, for rolling back a failed multi-
-  /// channel operator send (ShufflePartition / BroadcastRows). Every queued
-  /// batch and spill segment carries the monotone send sequence number it
-  /// was accepted under, so RollbackTo drops exactly the batches sent after
-  /// the Mark — even when a concurrent consumer drained some of them in
-  /// between (the pipelined producer-fails-mid-stream path).
+  /// channel scatter (ScatterRows). Every queued batch and spill segment
+  /// carries the monotone send sequence number it was accepted under, so
+  /// RollbackTo drops exactly the batches sent after the Mark — even when a
+  /// concurrent consumer drained some of them in between (the pipelined
+  /// producer-fails-mid-stream path).
   struct Checkpoint {
     size_t batches = 0;
     size_t bytes = 0;
@@ -248,10 +252,6 @@ class ExchangeChannel {
     std::lock_guard lock(mu_);
     return close_status_;
   }
-
-  /// Removes and returns every queued batch in send order (memory window
-  /// first, then spilled segments — which is exactly send order).
-  Result<std::vector<std::string>> Drain();
 
   /// Drops all queued and spilled payload without delivering it, rolling
   /// the lifetime byte/batch totals back so an aborted exchange does not
@@ -372,28 +372,17 @@ class ExchangeNetwork {
     return channels_[static_cast<size_t>(src) * n_ + dst];
   }
 
-  /// Encodes `rows` into batches of at most batch_rows() and sends them
-  /// src -> dst. Safe to call concurrently for distinct `src`. Over-cap
-  /// batches spill to disk; fails with ResourceExhausted only in strict
-  /// mode or when the spill budget is exhausted.
-  Status SendRows(int src, int dst, const std::vector<sql::Row>& rows);
-
-  /// Streams and decodes everything addressed to `dst`, one batch at a
-  /// time, concatenated in source-node order then send order (deterministic
-  /// receive order, spilled or not). Consumed spill segments free their
-  /// budget; a channel's spill file is deleted the moment its last segment
-  /// is read.
-  Result<std::vector<sql::Row>> ReceiveRows(int dst);
-
-  /// Blocking variant for pipelined consumers: drains each source channel
-  /// with PopBatchWait until the producer closes it, in the same
-  /// deterministic source-node-then-send order as ReceiveRows — so the
-  /// decoded rows are bit-identical regardless of producer/consumer thread
-  /// interleaving. Fails with the producer's close status, or TimedOut when
-  /// a channel stays open past `timeout_ms`. `batches_out` (optional)
-  /// accumulates the number of batches streamed.
-  Result<std::vector<sql::Row>> ReceiveRowsWait(int dst, int64_t timeout_ms,
-                                                size_t* batches_out = nullptr);
+  /// The one consumer: streams and decodes everything addressed to `dst`,
+  /// one batch at a time, draining each source channel with PopBatchWait
+  /// until its producer closes it. Rows come out in source-node order, then
+  /// send order, so they are bit-identical whatever the producer/consumer
+  /// thread interleaving. On channels already closed (the barrier schedule)
+  /// it never blocks. Consumed spill segments free their budget; a channel's
+  /// spill file is deleted the moment its last segment is read. Fails with
+  /// the producer's close status, or TimedOut when a channel stays open past
+  /// `timeout_ms`. `batches_out` (optional) accumulates the batches popped.
+  Result<std::vector<sql::Row>> ReceiveRows(int dst, int64_t timeout_ms,
+                                            size_t* batches_out = nullptr);
 
   /// Closes every channel out of `src` with `st` (producer completion or
   /// failure — see ExchangeChannel::Close).
@@ -463,14 +452,12 @@ class ScatterGuard {
   std::vector<ExchangeChannel::Checkpoint> marks_;
 };
 
-/// \brief Incremental scatter for the pipelined executor: rows are routed
-/// one at a time and each destination's batch is flushed into its channel
-/// the moment batch_rows() have accumulated — consumers start decoding
-/// while the producer is still scanning, instead of after one scatter at
-/// the end. The per-channel batch boundaries and payload are bit-identical
-/// to ShufflePartition / BroadcastRows over the same rows (same relative
-/// row order per partition, same batch_rows framing), so downstream results
-/// cannot depend on which execution mode produced them.
+/// \brief Incremental scatter: rows are routed one at a time and each
+/// destination's batch is flushed into its channel the moment batch_rows()
+/// have accumulated, so a concurrent consumer starts decoding while the
+/// producer is still scanning. Channel (src, dst) receives EncodeBatch over
+/// the rows routed to dst, in row order, cut into batch_rows() chunks.
+/// Broadcast encodes each batch once and sends a copy to every node.
 ///
 /// Not thread-safe: one StreamingScatter per producer task. The send log
 /// records every flushed batch in producer send order for the deterministic
@@ -495,31 +482,31 @@ class StreamingScatter {
   const std::vector<SendRec>& send_log() const { return log_; }
 
  private:
-  Status FlushDst(int dst);
+  /// Encodes pending_[d] as one batch and sends it to node d, or to every
+  /// node when broadcasting (pending_ then has the one entry d == 0).
+  Status Flush(int d);
+  Status SendOne(std::string batch, int dst);
 
   ExchangeNetwork* net_;
   int src_;
   std::optional<size_t> key_idx_;  // nullopt = broadcast
   ExchangeChannel::SendLimits limits_;
-  std::vector<std::vector<sql::Row>> pending_;  // per dst
+  std::vector<std::vector<sql::Row>> pending_;  // per dst; one for broadcast
   std::vector<SendRec> log_;
 };
 
-/// Hash-repartition: splits `rows` by HashForPartition(row[key_idx]) %
-/// num_nodes and sends each partition from `src` to its owning node,
-/// preserving relative row order within each partition. Rows with NULL keys
-/// are routed like any other value (an inner join drops them at the probe).
-/// On failure (strict mode / spill budget) every batch this call already
-/// queued is rolled back, so a failed shuffle leaves the network's byte and
-/// batch accounting untouched (the payload is counted in AbortedBytes).
-Status ShufflePartition(ExchangeNetwork* net, int src,
-                        const std::vector<sql::Row>& rows, size_t key_idx);
-
-/// Broadcast: sends every row from `src` to every node (including the
-/// loopback copy to itself, so receivers assemble the full relation from
-/// channels alone). Same rollback-on-failure contract as ShufflePartition.
-Status BroadcastRows(ExchangeNetwork* net, int src,
-                     const std::vector<sql::Row>& rows);
+/// The one producer: routes `rows` from `src` through a StreamingScatter,
+/// hash-repartitioning on HashForPartition(row[*key_idx]) % num_nodes when
+/// `key_idx` is set (NULL keys route like any other value; an inner join
+/// drops them at the probe) and broadcasting to every node, loopback
+/// included, otherwise. Runs under a ScatterGuard, so on failure (strict
+/// mode / spill budget) every batch it queued is rolled back and the
+/// network's byte and batch accounting is untouched (the payload counts in
+/// AbortedBytes). Then it closes every channel out of `src` with its status,
+/// so consumers see end-of-stream or the failure. Returns the send log.
+Result<std::vector<StreamingScatter::SendRec>> ScatterRows(
+    ExchangeNetwork* net, int src, const std::vector<sql::Row>& rows,
+    std::optional<size_t> key_idx);
 
 // --- Simulated latency -------------------------------------------------------
 

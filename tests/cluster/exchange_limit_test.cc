@@ -50,9 +50,12 @@ TEST(ExchangeLimitTest, StrictChannelDeniesOverLimitSend) {
   EXPECT_EQ(ch.spilled_bytes(), 0u);
 
   // Draining frees the budget: the same batch fits afterwards.
-  auto drained = ch.Drain();
-  ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(drained->size(), 1u);
+  auto popped = ch.PopBatch();
+  ASSERT_TRUE(popped.ok());
+  EXPECT_TRUE(popped->has_value());
+  auto end = ch.PopBatch();
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());  // exactly one batch was queued
   EXPECT_EQ(ch.queued_bytes(), 0u);
   ASSERT_TRUE(ch.Send(std::move(mid), limits).ok());
   EXPECT_EQ(ch.queued_bytes(), 60u);
@@ -79,10 +82,10 @@ TEST(ExchangeLimitTest, ZeroLimitMeansUnbounded) {
   EXPECT_EQ(ch.queued_bytes(), 100000u);
 }
 
-TEST(ExchangeLimitTest, StrictNetworkSendRowsHonorsTheCap) {
-  // A cap smaller than one encoded batch under strict mode: every SendRows
+TEST(ExchangeLimitTest, StrictScatterRowsHonorsTheCap) {
+  // A cap smaller than one encoded batch under strict mode: every scatter
   // with data fails, DeniedBytes aggregates across channels, and the failed
-  // operator's rollback leaves no queued payload behind.
+  // scatter's rollback leaves no queued payload behind.
   exchange::ExchangeSpillConfig strict;
   strict.strict = true;
   exchange::ExchangeNetwork net(2, /*batch_rows=*/8, /*max_channel_bytes=*/4,
@@ -90,14 +93,21 @@ TEST(ExchangeLimitTest, StrictNetworkSendRowsHonorsTheCap) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 20; ++i) rows.push_back(MakeRow(i, "padpadpad"));
 
-  Status st = net.SendRows(0, 1, rows);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_GT(net.DeniedBytes(), 0u);
-  EXPECT_TRUE(net.SendRows(0, 1, {}).ok());  // nothing to send, nothing denied
+  auto failed = exchange::ScatterRows(&net, 0, rows, std::nullopt);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  const size_t denied = net.DeniedBytes();
+  EXPECT_GT(denied, 0u);
+  for (int dst = 0; dst < 2; ++dst) {
+    EXPECT_EQ(net.channel(0, dst).queued_bytes(), 0u);
+  }
+  EXPECT_EQ(net.CrossNodeBytes(), 0u);
+  // Nothing to send, nothing denied.
+  EXPECT_TRUE(exchange::ScatterRows(&net, 1, {}, std::nullopt).ok());
+  EXPECT_EQ(net.DeniedBytes(), denied);
 
   exchange::ExchangeNetwork roomy(2, /*batch_rows=*/8);
-  ASSERT_TRUE(roomy.SendRows(0, 1, rows).ok());
+  ASSERT_TRUE(exchange::ScatterRows(&roomy, 0, rows, std::nullopt).ok());
   EXPECT_EQ(roomy.DeniedBytes(), 0u);
 }
 

@@ -2,8 +2,8 @@
 /// wakeup, fail-fast on producer error, TimedOut on deadline),
 /// Close(status) propagation, sequence-tagged rollback that stays correct
 /// when a consumer drained batches between the mark and the rollback (the
-/// producer-fails-mid-stream path), StreamingScatter's bit-identical
-/// framing vs the one-shot scatter operators, and the deterministic
+/// producer-fails-mid-stream path), ScatterRows' framing against the
+/// EncodeBatch spec and ReceiveRows' drain order, and the deterministic
 /// pipelined latency replay (consumer frontier starts before the skewed
 /// producer's frontier ends). The concurrent stress cases run under tsan
 /// in CI via the sanitizer focus list (scripts/check.sh).
@@ -213,7 +213,7 @@ TEST(ExchangePipelineTest, ProducerFailsMidStreamWhileConsumerDrains) {
     {
       ExchangeNetwork net(2, /*batch_rows=*/8, /*max_channel_bytes=*/256, cfg);
       std::thread consumer([&] {
-        auto r = net.ReceiveRowsWait(1, /*timeout_ms=*/30'000);
+        auto r = net.ReceiveRows(1, /*timeout_ms=*/30'000);
         // Depending on how far the drain got before the rollback + error
         // close, the consumer either fails fast with the producer's status
         // or (when it drained everything first) sees a clean close from
@@ -248,7 +248,7 @@ TEST(ExchangePipelineTest, ProducerFailsMidStreamWhileConsumerDrains) {
   fs::remove_all(dir);
 }
 
-// --- StreamingScatter framing equivalence -----------------------------------
+// --- ScatterRows framing ----------------------------------------------------
 
 std::vector<std::string> DrainAll(ExchangeNetwork* net, int src, int dst) {
   std::vector<std::string> batches;
@@ -261,69 +261,86 @@ std::vector<std::string> DrainAll(ExchangeNetwork* net, int src, int dst) {
   return batches;
 }
 
-TEST(ExchangePipelineTest, StreamingScatterMatchesShufflePartition) {
-  const std::vector<Row> rows = MakeRows(100, 11);
-  ExchangeNetwork one_shot(3, /*batch_rows=*/8);
-  ASSERT_TRUE(exchange::ShufflePartition(&one_shot, 0, rows, 0).ok());
+/// The framing spec: EncodeBatch over `rows` in row order, cut into
+/// `batch_rows` chunks.
+std::vector<std::string> SpecBatches(const std::vector<Row>& rows,
+                                     size_t batch_rows) {
+  std::vector<std::string> batches;
+  for (size_t b = 0; b < rows.size(); b += batch_rows) {
+    batches.push_back(
+        exchange::EncodeBatch(rows, b, std::min(b + batch_rows, rows.size())));
+  }
+  return batches;
+}
 
-  ExchangeNetwork streamed(3, /*batch_rows=*/8);
-  exchange::StreamingScatter scatter(&streamed, 0, /*key_idx=*/0);
-  for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
-  ASSERT_TRUE(scatter.Finish().ok());
+/// The rows of `rows` that hash-partition to `dst` of `n`, in row order.
+std::vector<Row> Partition(const std::vector<Row>& rows, int dst, int n) {
+  std::vector<Row> part;
+  for (const Row& row : rows) {
+    if (exchange::HashForPartition(row[0]) % static_cast<uint64_t>(n) ==
+        static_cast<uint64_t>(dst)) {
+      part.push_back(row);
+    }
+  }
+  return part;
+}
+
+TEST(ExchangePipelineTest, ScatterRowsRepartitionMatchesFramingSpec) {
+  const std::vector<Row> rows = MakeRows(100, 11);
+  ExchangeNetwork net(3, /*batch_rows=*/8);
+  auto log = exchange::ScatterRows(&net, 0, rows, /*key_idx=*/0);
+  ASSERT_TRUE(log.ok());
 
   size_t flushed_bytes = 0;
-  for (const auto& rec : scatter.send_log()) flushed_bytes += rec.bytes;
-  EXPECT_EQ(flushed_bytes, one_shot.channel(0, 0).bytes() +
-                               one_shot.channel(0, 1).bytes() +
-                               one_shot.channel(0, 2).bytes());
+  for (const auto& rec : *log) flushed_bytes += rec.bytes;
+  EXPECT_EQ(flushed_bytes, net.channel(0, 0).bytes() +
+                               net.channel(0, 1).bytes() +
+                               net.channel(0, 2).bytes());
   for (int dst = 0; dst < 3; ++dst) {
-    // Same batch boundaries, same payload, same order — the execution mode
-    // cannot leak into downstream results.
-    EXPECT_EQ(DrainAll(&streamed, 0, dst), DrainAll(&one_shot, 0, dst))
+    // Same batch boundaries, same payload, same order as the spec, so no
+    // schedule can leak into downstream results.
+    EXPECT_EQ(DrainAll(&net, 0, dst), SpecBatches(Partition(rows, dst, 3), 8))
         << "dst " << dst;
   }
 }
 
-TEST(ExchangePipelineTest, StreamingScatterMatchesBroadcastRows) {
+TEST(ExchangePipelineTest, ScatterRowsBroadcastMatchesFramingSpec) {
   const std::vector<Row> rows = MakeRows(37, 5);
-  ExchangeNetwork one_shot(3, /*batch_rows=*/8);
-  ASSERT_TRUE(exchange::BroadcastRows(&one_shot, 1, rows).ok());
-
-  ExchangeNetwork streamed(3, /*batch_rows=*/8);
-  exchange::StreamingScatter scatter(&streamed, 1, /*key_idx=*/std::nullopt);
-  for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
-  ASSERT_TRUE(scatter.Finish().ok());
+  ExchangeNetwork net(3, /*batch_rows=*/8);
+  ASSERT_TRUE(
+      exchange::ScatterRows(&net, 1, rows, /*key_idx=*/std::nullopt).ok());
 
   for (int dst = 0; dst < 3; ++dst) {
-    EXPECT_EQ(DrainAll(&streamed, 1, dst), DrainAll(&one_shot, 1, dst))
-        << "dst " << dst;
+    EXPECT_EQ(DrainAll(&net, 1, dst), SpecBatches(rows, 8)) << "dst " << dst;
   }
 }
 
-TEST(ExchangePipelineTest, ReceiveRowsWaitMatchesReceiveRowsOrder) {
+TEST(ExchangePipelineTest, ReceiveRowsDrainsInSourceThenSendOrder) {
   const std::vector<Row> rows = MakeRows(90, 13);
-  ExchangeNetwork a(3, /*batch_rows=*/8);
-  ExchangeNetwork b(3, /*batch_rows=*/8);
+  ExchangeNetwork net(3, /*batch_rows=*/8);
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ShufflePartition(&a, src, rows, 0).ok());
-    ASSERT_TRUE(exchange::ShufflePartition(&b, src, rows, 0).ok());
-    b.CloseAllFrom(src);
+    ASSERT_TRUE(exchange::ScatterRows(&net, src, rows, 0).ok());
   }
   for (int dst = 0; dst < 3; ++dst) {
-    auto plain = a.ReceiveRows(dst);
-    ASSERT_TRUE(plain.ok());
+    // Every source sent the same partition: the receive is that partition
+    // once per source, in source order.
+    const std::vector<Row> part = Partition(rows, dst, 3);
+    std::vector<Row> want;
+    for (int src = 0; src < 3; ++src) {
+      want.insert(want.end(), part.begin(), part.end());
+    }
     size_t streamed_batches = 0;
-    auto waited = b.ReceiveRowsWait(dst, /*timeout_ms=*/1000,
-                                    &streamed_batches);
-    ASSERT_TRUE(waited.ok());
-    ASSERT_EQ(plain->size(), waited->size());
-    for (size_t i = 0; i < plain->size(); ++i) {
-      EXPECT_EQ((*plain)[i].size(), (*waited)[i].size());
-      for (size_t c = 0; c < (*plain)[i].size(); ++c) {
-        EXPECT_EQ((*plain)[i][c].ToString(), (*waited)[i][c].ToString());
+    auto got = net.ReceiveRows(dst, /*timeout_ms=*/1000, &streamed_batches);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(want.size(), got->size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].size(), (*got)[i].size());
+      for (size_t c = 0; c < want[i].size(); ++c) {
+        EXPECT_EQ(want[i][c].ToString(), (*got)[i][c].ToString());
       }
     }
     EXPECT_GT(streamed_batches, 0u);
+    EXPECT_EQ(streamed_batches, 3 * SpecBatches(part, 8).size());
   }
 }
 
@@ -331,23 +348,23 @@ TEST(ExchangePipelineTest, ReceiveRowsWaitMatchesReceiveRowsOrder) {
 
 /// Builds the skewed two-node traffic (node 0 ships `heavy` rows to node 1,
 /// node 1 ships a single light batch back) on a fresh network and returns
-/// the producer send logs, using the streaming scatter (hash keys: even ->
-/// node 0, odd -> node 1).
+/// the producer send logs (hash keys: even -> node 0, odd -> node 1).
 std::vector<std::vector<exchange::PipelinedSendRec>> SkewedTraffic(
     ExchangeNetwork* net, int heavy) {
   std::vector<std::vector<exchange::PipelinedSendRec>> logs(2);
   for (int src = 0; src < 2; ++src) {
-    exchange::StreamingScatter scatter(net, src, /*key_idx=*/0);
     const int count = src == 0 ? heavy : 4;
+    std::vector<Row> rows;
     for (int i = 0; i < count; ++i) {
       // Everything node 0 produces is odd-keyed (routes to node 1) and
       // vice versa: maximal cross-traffic with one dominant producer.
-      EXPECT_TRUE(
-          scatter.Push(MakeRow(2 * i + (src == 0 ? 1 : 0),
-                               std::string(64, 'p'))).ok());
+      rows.push_back(
+          MakeRow(2 * i + (src == 0 ? 1 : 0), std::string(64, 'p')));
     }
-    EXPECT_TRUE(scatter.Finish().ok());
-    for (const auto& rec : scatter.send_log()) {
+    auto log = exchange::ScatterRows(net, src, rows, /*key_idx=*/0);
+    EXPECT_TRUE(log.ok());
+    if (!log.ok()) continue;
+    for (const auto& rec : *log) {
       logs[static_cast<size_t>(src)].push_back(
           exchange::PipelinedSendRec{0, rec.dst, rec.bytes});
     }
@@ -436,8 +453,8 @@ TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
   // Drain so the channels are clean before teardown (keeps the temp dir
   // empty for the leak check).
   for (int dst = 0; dst < 2; ++dst) {
-    ASSERT_TRUE(capped.ReceiveRows(dst).ok());
-    ASSERT_TRUE(uncapped.ReceiveRows(dst).ok());
+    ASSERT_TRUE(capped.ReceiveRows(dst, /*timeout_ms=*/1000).ok());
+    ASSERT_TRUE(uncapped.ReceiveRows(dst, /*timeout_ms=*/1000).ok());
   }
   EXPECT_EQ(budget.used.load(), 0u);
   EXPECT_TRUE(fs::is_empty(dir));

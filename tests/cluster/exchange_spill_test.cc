@@ -25,6 +25,10 @@ using sql::Schema;
 using sql::TypeId;
 using sql::Value;
 
+// Receives in this suite read channels their producers already closed, so
+// they never wait; the deadline only bounds a broken test.
+constexpr int64_t kTimeoutMs = 1000;
+
 Row MakeRow(int64_t k, const std::string& pad) {
   return Row{Value(k), Value(pad)};
 }
@@ -146,9 +150,14 @@ TEST_F(ExchangeSpillTest, SpillBudgetExhaustionDenies) {
   ASSERT_TRUE(ch.Send(std::string(20, 'd'), limits).ok());  // fits, 50/50
 
   // Draining releases the budget as segments are consumed.
-  auto drained = ch.Drain();
-  ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(drained->size(), 3u);
+  size_t drained = 0;
+  while (true) {
+    auto batch = ch.PopBatch();
+    ASSERT_TRUE(batch.ok());
+    if (!batch->has_value()) break;
+    ++drained;
+  }
+  EXPECT_EQ(drained, 3u);
   EXPECT_EQ(budget.used.load(), 0u);
   ASSERT_TRUE(ch.Send(std::string(30, 'e'), limits).ok());
 }
@@ -168,8 +177,8 @@ TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
                                    /*max_channel_bytes=*/64, cfg);
 
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ShufflePartition(&uncapped, src, rows, 0).ok());
-    ASSERT_TRUE(exchange::ShufflePartition(&capped, src, rows, 0).ok());
+    ASSERT_TRUE(exchange::ScatterRows(&uncapped, src, rows, 0).ok());
+    ASSERT_TRUE(exchange::ScatterRows(&capped, src, rows, 0).ok());
   }
   EXPECT_GT(capped.SpilledBytes(), 0u);
   EXPECT_EQ(capped.DeniedBytes(), 0u);
@@ -179,8 +188,8 @@ TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
 
   size_t total = 0;
   for (int dst = 0; dst < 3; ++dst) {
-    auto want = uncapped.ReceiveRows(dst);
-    auto got = capped.ReceiveRows(dst);
+    auto want = uncapped.ReceiveRows(dst, kTimeoutMs);
+    auto got = capped.ReceiveRows(dst, kTimeoutMs);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     // Bit-identical rows in the identical (deterministic) order.
@@ -210,9 +219,9 @@ TEST_F(ExchangeSpillTest, FailedShuffleRollsBackPartialSends) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 64; ++i) rows.push_back(MakeRow(i, "padpadpad"));
 
-  Status st = exchange::ShufflePartition(&net, 0, rows, 0);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  auto failed = exchange::ScatterRows(&net, 0, rows, 0);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(net.DeniedBytes(), 0u);
   // Rollback: nothing stays queued or counted, the payload is quarantined
   // in the aborted counter instead of inflating traffic stats.
@@ -222,9 +231,12 @@ TEST_F(ExchangeSpillTest, FailedShuffleRollsBackPartialSends) {
   for (int dst = 0; dst < 2; ++dst) {
     EXPECT_EQ(net.channel(0, dst).queued_bytes(), 0u);
   }
-  auto empty = net.ReceiveRows(1);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  // The failed producer closed its channels with its status: a consumer
+  // fails with it instead of acting on a partial stream.
+  net.CloseAllFrom(1);
+  auto received = net.ReceiveRows(1, kTimeoutMs);
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
@@ -257,7 +269,8 @@ TEST_F(ExchangeSpillTest, CorruptSpilledBatchFailsDecodeNotSilently) {
                                 cfg);
   std::vector<Row> rows;
   for (int64_t i = 0; i < 16; ++i) rows.push_back(MakeRow(i, "padpad"));
-  ASSERT_TRUE(net.SendRows(0, 1, rows).ok());
+  ASSERT_TRUE(exchange::ScatterRows(&net, 0, rows, std::nullopt).ok());
+  net.CloseAllFrom(1);
   std::string path = net.channel(0, 1).spill_path();
   ASSERT_FALSE(path.empty());
   {
@@ -265,7 +278,7 @@ TEST_F(ExchangeSpillTest, CorruptSpilledBatchFailsDecodeNotSilently) {
     f.seekp(0);
     f.write("\xff\xff\xff\xff\xff\xff\xff\xff", 8);
   }
-  auto got = net.ReceiveRows(1);
+  auto got = net.ReceiveRows(1, kTimeoutMs);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
@@ -370,7 +383,7 @@ TEST_F(ExchangeSpillTest, BuildSideSpillKeepsJoinBitIdentical) {
 }
 
 TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
-  // The pipelined path: producers stream batches through StreamingScatter
+  // The pipelined schedule: producers stream batches through ScatterRows
   // while consumers concurrently drain with the blocking receive. Whatever
   // the thread interleaving does to the *amount* spilled (a consumer that
   // keeps up prevents spill entirely), the invariants hold: bit-identical
@@ -385,11 +398,11 @@ TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
   // Reference: uncapped barrier scatter for the expected receive order.
   exchange::ExchangeNetwork plain(3, /*batch_rows=*/8);
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ShufflePartition(&plain, src, rows, 0).ok());
+    ASSERT_TRUE(exchange::ScatterRows(&plain, src, rows, 0).ok());
   }
   std::vector<std::vector<Row>> want(3);
   for (int dst = 0; dst < 3; ++dst) {
-    auto r = plain.ReceiveRows(dst);
+    auto r = plain.ReceiveRows(dst, kTimeoutMs);
     ASSERT_TRUE(r.ok());
     want[static_cast<size_t>(dst)] = std::move(*r);
   }
@@ -403,15 +416,12 @@ TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
     std::vector<std::thread> threads;
     for (int src = 0; src < 3; ++src) {
       threads.emplace_back([&, src] {
-        exchange::StreamingScatter scatter(&net, src, /*key_idx=*/0);
-        for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
-        ASSERT_TRUE(scatter.Finish().ok());
-        net.CloseAllFrom(src);
+        ASSERT_TRUE(exchange::ScatterRows(&net, src, rows, 0).ok());
       });
     }
     for (int dst = 0; dst < 3; ++dst) {
       threads.emplace_back([&, dst] {
-        auto r = net.ReceiveRowsWait(dst, /*timeout_ms=*/30'000);
+        auto r = net.ReceiveRows(dst, /*timeout_ms=*/30'000);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         got[static_cast<size_t>(dst)] = std::move(*r);
       });

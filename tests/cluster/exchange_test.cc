@@ -1,7 +1,7 @@
 /// Exchange subsystem units: the wire codec must round-trip every value
 /// type and reject corrupt input; the partition hash must be consistent
-/// with Value equality; shuffle/broadcast must deliver deterministically
-/// with exact byte/batch accounting; the simulated exchange must keep the
+/// with Value equality; ScatterRows (repartition and broadcast) must deliver
+/// deterministically with exact byte/batch accounting; the simulated exchange must keep the
 /// max-over-senders (not chained) shape.
 #include "cluster/exchange/exchange.h"
 
@@ -16,6 +16,10 @@ namespace {
 
 using sql::Row;
 using sql::Value;
+
+// Every channel a test reads is closed by its producer, so receives never
+// wait; the deadline only bounds a broken test.
+constexpr int64_t kTimeoutMs = 1000;
 
 Row MixedRow(int64_t i) {
   return {Value(i), Value(static_cast<double>(i) + 0.5),
@@ -95,12 +99,12 @@ TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
       rows.push_back({Value(rng.Uniform(0, 50)), Value(int64_t{src})});
     }
     total += rows.size();
-    ShufflePartition(&net, src, rows, /*key_idx=*/0);
+    ASSERT_TRUE(ScatterRows(&net, src, rows, /*key_idx=*/0).ok());
   }
   size_t received = 0;
   std::set<int64_t> seen_keys;
   for (int dst = 0; dst < n; ++dst) {
-    auto rows = net.ReceiveRows(dst);
+    auto rows = net.ReceiveRows(dst, kTimeoutMs);
     ASSERT_TRUE(rows.ok());
     received += rows->size();
     for (const auto& r : *rows) {
@@ -115,12 +119,20 @@ TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
 TEST(ExchangeNetworkTest, ReceiveOrderIsSourceOrderThenSendOrder) {
   const int n = 3;
   ExchangeNetwork net(n, /*batch_rows=*/2);
-  // Sources send to node 0 out of source order; the receiver must still see
-  // src-0 rows, then src-1, then src-2, each in send order.
-  net.SendRows(2, 0, {{Value(int64_t{20})}, {Value(int64_t{21})}});
-  net.SendRows(0, 0, {{Value(int64_t{0})}, {Value(int64_t{1})}, {Value(int64_t{2})}});
-  net.SendRows(1, 0, {{Value(int64_t{10})}});
-  auto rows = net.ReceiveRows(0);
+  // Sources broadcast out of source order; node 0 must still see src-0
+  // rows, then src-1, then src-2, each in send order.
+  const std::optional<size_t> broadcast;
+  ASSERT_TRUE(
+      ScatterRows(&net, 2, {{Value(int64_t{20})}, {Value(int64_t{21})}},
+                  broadcast)
+          .ok());
+  ASSERT_TRUE(ScatterRows(&net, 0,
+                          {{Value(int64_t{0})}, {Value(int64_t{1})},
+                           {Value(int64_t{2})}},
+                          broadcast)
+                  .ok());
+  ASSERT_TRUE(ScatterRows(&net, 1, {{Value(int64_t{10})}}, broadcast).ok());
+  auto rows = net.ReceiveRows(0, kTimeoutMs);
   ASSERT_TRUE(rows.ok());
   std::vector<int64_t> got;
   for (const auto& r : *rows) got.push_back(r[0].AsInt());
@@ -132,10 +144,11 @@ TEST(ExchangeNetworkTest, BroadcastReachesEveryNodeAndCountsCrossTraffic) {
   ExchangeNetwork net(n, /*batch_rows=*/8);
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back({Value(i)});
-  BroadcastRows(&net, 1, rows);
+  ASSERT_TRUE(ScatterRows(&net, 1, rows, /*key_idx=*/std::nullopt).ok());
+  for (int src : {0, 2, 3}) net.CloseAllFrom(src);  // idle producers
   const size_t encoded = EncodedBytes(rows, 8);
   for (int dst = 0; dst < n; ++dst) {
-    auto got = net.ReceiveRows(dst);
+    auto got = net.ReceiveRows(dst, kTimeoutMs);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->size(), rows.size()) << "dst " << dst;
   }
@@ -162,7 +175,9 @@ TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
     ExchangeNetwork net(n, 64);
     std::vector<Row> rows;
     for (int64_t i = 0; i < 200; ++i) rows.push_back({Value(i), Value(i * 7)});
-    for (int src = 0; src < n; ++src) ShufflePartition(&net, src, rows, 0);
+    for (int src = 0; src < n; ++src) {
+      EXPECT_TRUE(ScatterRows(&net, src, rows, 0).ok());
+    }
     std::vector<SimTime> start(static_cast<size_t>(n), 100);
     auto done = SimulateExchange(&sched, res, {&net}, start, p);
     SimTime max_done = 0;
@@ -194,8 +209,10 @@ TEST(ExchangeSimTest, ReceiverWaitsForSlowestSenderPlusHop) {
                           sched.AddResource()};
   ExchangeNetwork net(3, 64);
   // Nodes 1 and 2 ship one small batch each to node 0; node 2 starts late.
-  net.SendRows(1, 0, {{Value(int64_t{1})}});
-  net.SendRows(2, 0, {{Value(int64_t{2})}});
+  const std::vector<Row> one = {{Value(int64_t{1})}};
+  const std::vector<Row> two = {{Value(int64_t{2})}};
+  ASSERT_TRUE(net.channel(1, 0).Send(EncodeBatch(one, 0, 1)).ok());
+  ASSERT_TRUE(net.channel(2, 0).Send(EncodeBatch(two, 0, 1)).ok());
   std::vector<SimTime> start = {0, 0, 500};
   auto done = SimulateExchange(&sched, res, {&net}, start, p);
   size_t batch_bytes = net.channel(1, 0).bytes();
