@@ -653,7 +653,7 @@ std::string AggListToString(const std::vector<std::string>& group_by,
 /// Latency model: `frontier_[i]` tracks when serving node i finishes its
 /// last charged statement (starting at scatter_start). Fragments advance
 /// the frontier — prepare, scan statement(s), exchange, join statement —
-/// and the run completes at max over frontiers plus the CN gather cost.
+/// and the run completes when the CN has gathered every DN's output.
 /// Because the SimScheduler's gap-fitting Charge is order-independent
 /// across distinct resources, running the plan as per-fragment loops gives
 /// the same per-DN completion times as one fused loop would, as long as the
@@ -887,47 +887,32 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
           static_cast<int64_t>(stats_.scan_stats.delta_rows));
   }
 
+  // CN gather: the CN merges DN i's output, in DN order, once that DN is
+  // ready — at its own frontier when pipelined, at the slowest DN's under
+  // the barrier. Each merge pays cn_gather_service_us, plus a size-aware
+  // receive when the gathered state is row-shaped (joins and plain scans,
+  // unlike aggregates, gather row-sized state). The KiB count telescopes,
+  // so the barrier gather costs n x cn_gather_service_us plus the KiB of
+  // result_bytes, after the slowest DN.
   SimTime parallel_done = scatter_start_;
   for (SimTime f : frontier_) parallel_done = std::max(parallel_done, f);
-  // The CN pays the per-partial merge, plus a size-aware receive when the
-  // gathered state is row-shaped (joins and plain scans, unlike aggregates,
-  // gather row-sized state).
-  const SimTime per_slot_gather = cluster_->latency().cn_gather_service_us;
-  SimTime gather_cost = static_cast<SimTime>(n_) * per_slot_gather;
-  if (rows_gather) {
-    gather_cost +=
-        exchange::ExchangeServiceTime(stats_.result_bytes, 0, ExchangeParams());
+  const SimTime kb_us = ExchangeParams().kb_service_us;
+  SimTime cn_done = scatter_start_;
+  SimTime first_merge = -1;
+  size_t cum = 0;
+  for (int i = 0; i < n_; ++i) {
+    const SimTime ready =
+        pipeline_on_ ? frontier_[static_cast<size_t>(i)] : parallel_done;
+    const SimTime begin = std::max(cn_done, ready);
+    if (first_merge < 0) first_merge = begin;
+    const size_t b = slot_result_bytes[static_cast<size_t>(i)];
+    cn_done = begin + cluster_->latency().cn_gather_service_us +
+              exchange::KibServiceTime(cum, b, kb_us);
+    cum += b;
   }
-  SimTime cn_done;
-  if (pipeline_on_) {
-    // Pipelined gather: the CN merges DN i's output the moment that DN is
-    // done (still in DN order — results are gathered identically), instead
-    // of waiting behind the slowest DN. Telescoped cumulative KiB keeps the
-    // total byte service equal to the barrier's one-lump charge, so only
-    // the start times change.
-    const SimTime kb_us = ExchangeParams().kb_service_us;
-    auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
-    SimTime cursor = scatter_start_;
-    SimTime first_merge = -1;
-    size_t cum = 0;
-    for (int i = 0; i < n_; ++i) {
-      SimTime begin = std::max(cursor, frontier_[static_cast<size_t>(i)]);
-      if (first_merge < 0) first_merge = begin;
-      SimTime service = per_slot_gather;
-      if (rows_gather) {
-        size_t b = slot_result_bytes[static_cast<size_t>(i)];
-        service += (kib(cum + b) - kib(cum)) * kb_us;
-        cum += b;
-      }
-      cursor = begin + service;
-    }
-    cn_done = cursor;
-    if (first_merge >= 0) {
-      stats_.pipeline_overlap_us +=
-          std::max<SimTime>(0, parallel_done - first_merge);
-    }
-  } else {
-    cn_done = parallel_done + gather_cost;
+  if (first_merge >= 0) {
+    stats_.pipeline_overlap_us +=
+        std::max<SimTime>(0, parallel_done - first_merge);
   }
   stats_.sim_latency_us = cn_done - scatter_start_;
   // The CN resumes once the last partial has been gathered.
@@ -1282,10 +1267,10 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   };
   std::vector<Status> send_status(serving_.size(), Status::OK());
   // send_logs[i] records producer i's flushed batches in send order (net 0 =
-  // left relation, 1 = right) for the pipelined latency replay; streamed[j]
+  // left relation, 1 = right) for the latency replay; streamed[j]
   // counts the batches consumer j popped. Each task writes only its own
   // entry.
-  std::vector<std::vector<exchange::PipelinedSendRec>> send_logs(
+  std::vector<std::vector<exchange::ExchangeSendRec>> send_logs(
       serving_.size());
   std::vector<size_t> streamed(serving_.size(), 0);
   constexpr int64_t kReceiveTimeoutMs = 60'000;
@@ -1308,7 +1293,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
       if (!st.ok()) break;
       for (const auto& rec : *log) {
         send_logs[static_cast<size_t>(i)].push_back(
-            exchange::PipelinedSendRec{is_left ? 0 : 1, rec.dst, rec.bytes});
+            exchange::ExchangeSendRec{is_left ? 0 : 1, rec.dst, rec.bytes});
       }
     }
     send_status[static_cast<size_t>(i)] = st;
@@ -1430,36 +1415,30 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     OFI_RETURN_NOT_OK(producers_status());
   }
 
-  // Simulated latency: sends start when a node's scans are done; node j can
-  // join once the slowest sender shipping to it has finished (+1 hop) and
-  // its own decode service completes; then one join statement per DN. The
-  // fused partial aggregate rides in that same statement (scan+agg was one
-  // statement on the aggregate path too). The pipelined replay instead
-  // charges per-batch: consumer decodes start at max(consumer cursor, batch
-  // availability + hop), which is where the overlap win shows up.
+  // Simulated latency: one replay of the send logs, under the schedule that
+  // ran. Sends start when a node's scans are done. Under the barrier, node j
+  // decodes once the slowest sender shipping to it has finished (+1 hop);
+  // pipelined, each decode starts at max(consumer cursor, batch
+  // availability + hop), which is where the overlap win shows up. Then one
+  // join statement per DN; the fused partial aggregate rides in it.
   exchange::ExchangeLatencyParams params = ExchangeParams();
   std::vector<int> resources(serving_.size());
   for (int i = 0; i < n_; ++i) {
     resources[static_cast<size_t>(i)] = cluster_->dn_resource(serving_[i]);
   }
-  std::vector<SimTime> exchange_done;
+  exchange::ExchangeSimResult sim = exchange::SimulateExchange(
+      &cluster_->scheduler(), resources, {&left_net, &right_net}, send_logs,
+      frontier_, params,
+      pipeline_on_ ? exchange::ExchangeSchedule::kPipelined
+                   : exchange::ExchangeSchedule::kBarrier);
+  stats_.pipeline_overlap_us += sim.overlap_us;
   if (pipeline_on_) {
-    exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
-        &cluster_->scheduler(), resources, {&left_net, &right_net}, send_logs,
-        frontier_, params);
-    exchange_done = std::move(sim.ready);
-    stats_.pipeline_overlap_us += sim.overlap_us;
     for (size_t c : streamed) stats_.batches_streamed += c;
-  } else {
-    exchange_done = exchange::SimulateExchange(&cluster_->scheduler(),
-                                               resources,
-                                               {&left_net, &right_net},
-                                               frontier_, params);
   }
   for (int j = 0; j < n_; ++j) {
     // A spooled build partition pays its disk write + read on the owning
     // DN before the join statement can start.
-    SimTime arrival = exchange_done[static_cast<size_t>(j)];
+    SimTime arrival = sim.ready[static_cast<size_t>(j)];
     size_t build_spill = slots[static_cast<size_t>(j)].build_spill_bytes;
     if (build_spill > 0) {
       arrival = cluster_->scheduler().Charge(

@@ -77,8 +77,8 @@ enum class DistOpKind : uint8_t {
 
 /// Planner's scan-path choice. kColumnar means "serve from the columnar
 /// copy where possible": the executor still re-checks filter
-/// recognizability and per-shard freshness at run time and falls back to
-/// the row store per shard (results are identical either way).
+/// recognizability at run time and falls back to the row store per shard
+/// (results are identical either way).
 enum class ScanPath : uint8_t { kRow, kColumnar };
 
 /// Data-movement annotation on a join input. kNone = the relation stays
@@ -216,8 +216,10 @@ struct DistExecOptions {
   /// flushes it and the join probe / final merge starts before the slowest
   /// producer finishes. Both schedules use the same scatter and receive, so
   /// results are bit-identical to barrier execution; only simulated latency
-  /// changes (per-batch overlap-aware accounting, see
-  /// SimulatePipelinedExchange). Ignored — falls back to the barrier — under
+  /// changes: the one exchange replay (exchange::SimulateExchange) runs
+  /// under the pipelined schedule instead of the barrier schedule, and the
+  /// CN merges each DN's output as soon as that DN is done. Ignored — falls
+  /// back to the barrier — under
   /// strict_channel_limit, whose deny-on-overflow outcome would otherwise
   /// depend on consumer timing. The producer and consumer tasks run on a
   /// dedicated pool of 2×(serving DNs) threads, so every blocking consumer

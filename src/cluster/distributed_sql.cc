@@ -199,7 +199,7 @@ Result<std::string> DistributedSqlSession::Explain(const std::string& query) {
                ? "exec=barrier (pipeline disabled under strict channel limit)\n"
                : "exec=pipelined\n";
   }
-  // Per-DN scan forecast (predicted path, shard freshness, zone-map prune
+  // Per-DN scan forecast (predicted path, delta-tail rows, zone-map prune
   // estimate) — metadata only, nothing executes.
   std::string paths = ExplainScanPaths(&cluster_, lowering.root);
   if (!paths.empty()) out += "scan forecast:\n" + paths;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 namespace ofi::cluster::exchange {
 namespace {
@@ -567,38 +568,6 @@ size_t ExchangeNetwork::CrossNodeBatches() const {
   return n;
 }
 
-size_t ExchangeNetwork::OutBytes(int src) const {
-  size_t n = 0;
-  for (int dst = 0; dst < n_; ++dst) {
-    if (dst != src) n += channel(src, dst).bytes();
-  }
-  return n;
-}
-
-size_t ExchangeNetwork::OutBatches(int src) const {
-  size_t n = 0;
-  for (int dst = 0; dst < n_; ++dst) {
-    if (dst != src) n += channel(src, dst).batches();
-  }
-  return n;
-}
-
-size_t ExchangeNetwork::InBytes(int dst) const {
-  size_t n = 0;
-  for (int src = 0; src < n_; ++src) {
-    if (src != dst) n += channel(src, dst).bytes();
-  }
-  return n;
-}
-
-size_t ExchangeNetwork::InBatches(int dst) const {
-  size_t n = 0;
-  for (int src = 0; src < n_; ++src) {
-    if (src != dst) n += channel(src, dst).batches();
-  }
-  return n;
-}
-
 size_t ExchangeNetwork::DeniedBytes() const {
   size_t n = 0;
   for (const auto& ch : channels_) n += ch.denied_bytes();
@@ -614,12 +583,6 @@ size_t ExchangeNetwork::SpilledBytes() const {
 size_t ExchangeNetwork::SpillSegments() const {
   size_t n = 0;
   for (const auto& ch : channels_) n += ch.spill_segments();
-  return n;
-}
-
-size_t ExchangeNetwork::SpilledInBytes(int dst) const {
-  size_t n = 0;
-  for (int src = 0; src < n_; ++src) n += channel(src, dst).spilled_bytes();
   return n;
 }
 
@@ -699,132 +662,100 @@ Result<std::vector<StreamingScatter::SendRec>> ScatterRows(
   return log;
 }
 
-SimTime ExchangeServiceTime(size_t bytes, size_t batches,
-                            const ExchangeLatencyParams& p) {
-  SimTime kib = static_cast<SimTime>((bytes + 1023) / 1024);
-  return static_cast<SimTime>(batches) * p.batch_service_us +
-         kib * p.kb_service_us;
+SimTime KibServiceTime(size_t before, size_t bytes, SimTime per_kib_us) {
+  auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
+  return (kib(before + bytes) - kib(before)) * per_kib_us;
 }
 
 SimTime SpillServiceTime(size_t bytes, const ExchangeLatencyParams& p) {
-  if (bytes == 0) return 0;
-  SimTime kib = static_cast<SimTime>((bytes + 1023) / 1024);
-  return kib * (p.spill_write_kb_us + p.spill_read_kb_us);
+  return KibServiceTime(0, bytes, p.spill_write_kb_us + p.spill_read_kb_us);
 }
 
-std::vector<SimTime> SimulateExchange(
+ExchangeSimResult SimulateExchange(
     SimScheduler* scheduler, const std::vector<int>& node_resources,
     const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p) {
-  const int n = static_cast<int>(node_resources.size());
-
-  // Senders: each node serializes its whole cross-node outgoing traffic on
-  // its own serialized resource, starting when its scan completed.
-  std::vector<SimTime> send_done(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    size_t bytes = 0, batches = 0;
-    for (const auto* net : nets) {
-      bytes += net->OutBytes(i);
-      batches += net->OutBatches(i);
-    }
-    SimTime service = ExchangeServiceTime(bytes, batches, p);
-    send_done[i] = scheduler->Charge(node_resources[i], start[i], service);
-  }
-
-  // Receivers: node j can decode once the slowest sender shipping to it has
-  // finished, plus one network hop (max-over-senders, not a chained sum).
-  std::vector<SimTime> done(static_cast<size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    SimTime arrival = std::max(start[j], send_done[j]);
-    size_t bytes = 0, batches = 0;
-    bool any_in = false;
-    for (int i = 0; i < n; ++i) {
-      if (i == j) continue;
-      size_t b = 0;
-      for (const auto* net : nets) b += net->channel(i, j).batches();
-      if (b == 0) continue;
-      any_in = true;
-      arrival = std::max(arrival, send_done[i] + p.network_hop_us);
-    }
-    for (const auto* net : nets) {
-      bytes += net->InBytes(j);
-      batches += net->InBatches(j);
-    }
-    SimTime service = any_in ? ExchangeServiceTime(bytes, batches, p) : 0;
-    // Spilled bytes entering j pay a disk write + read on j's resource —
-    // loopback included, since the spill file is real even when the network
-    // hop is not.
-    size_t spilled_in = 0;
-    for (const auto* net : nets) spilled_in += net->SpilledInBytes(j);
-    service += SpillServiceTime(spilled_in, p);
-    done[j] = scheduler->Charge(node_resources[j], arrival, service);
-  }
-  return done;
-}
-
-PipelinedSimResult SimulatePipelinedExchange(
-    SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<std::vector<PipelinedSendRec>>& send_logs,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p) {
+    const std::vector<std::vector<ExchangeSendRec>>& send_logs,
+    const std::vector<SimTime>& start, const ExchangeLatencyParams& p,
+    ExchangeSchedule schedule) {
+  const bool barrier = schedule == ExchangeSchedule::kBarrier;
   const int n = static_cast<int>(node_resources.size());
   const int nk = static_cast<int>(nets.size());
-  PipelinedSimResult out;
+  ExchangeSimResult out;
   out.ready.assign(static_cast<size_t>(n), 0);
   out.producer_done.assign(static_cast<size_t>(n), 0);
   out.first_consume.assign(static_cast<size_t>(n), 0);
 
+  constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
   struct Batch {
     size_t bytes = 0;
-    SimTime avail = 0;  // producer finished encoding it
-    SimTime pop = 0;    // provisional consumer drain completion
+    SimTime avail = 0;    // producer finished encoding it
+    SimTime pop = kNever;  // provisional consumer drain completion
   };
   // chan[net][src * n + dst], batches in send order.
   std::vector<std::vector<std::vector<Batch>>> chan(
       static_cast<size_t>(nk),
       std::vector<std::vector<Batch>>(static_cast<size_t>(n) * n));
-  auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
+  auto batch_service = [&](size_t cum, size_t bytes) {
+    return p.batch_service_us + KibServiceTime(cum, bytes, p.kb_service_us);
+  };
 
-  // Producers: per-batch encode charges in send order, cross-node only (the
-  // barrier model charges nothing for loopback either). Cumulative-KiB
-  // telescoping makes the per-producer total equal ExchangeServiceTime over
-  // its whole cross-node output.
+  // Producers: per-batch encode charges in send order, cross-node only.
   for (int i = 0; i < n; ++i) {
     SimTime cursor = start[static_cast<size_t>(i)];
     size_t cum = 0;
-    for (const PipelinedSendRec& rec : send_logs[static_cast<size_t>(i)]) {
+    for (const ExchangeSendRec& rec : send_logs[static_cast<size_t>(i)]) {
       if (rec.dst != i) {
-        SimTime service = p.batch_service_us +
-                          (kib(cum + rec.bytes) - kib(cum)) * p.kb_service_us;
+        SimTime service = batch_service(cum, rec.bytes);
         cum += rec.bytes;
         cursor = scheduler->Charge(node_resources[static_cast<size_t>(i)],
                                    cursor, service);
       }
       chan[static_cast<size_t>(rec.net)][static_cast<size_t>(i) * n + rec.dst]
-          .push_back(Batch{rec.bytes, cursor, 0});
+          .push_back(Batch{rec.bytes, cursor});
     }
     out.producer_done[static_cast<size_t>(i)] = cursor;
   }
 
-  // Provisional drain times (plain arithmetic, no charges): each consumer
-  // walks its deterministic drain order; a batch is popped at
-  // max(cursor, availability + hop) plus its decode service. Used only to
-  // model the in-memory window occupancy for the spill decision below.
-  for (int j = 0; j < n; ++j) {
-    SimTime cur = start[static_cast<size_t>(j)];
-    size_t cum = 0;
-    for (int k = 0; k < nk; ++k) {
-      for (int i = 0; i < n; ++i) {
-        for (Batch& b : chan[static_cast<size_t>(k)]
-                            [static_cast<size_t>(i) * n + j]) {
-          SimTime arrival = b.avail + (i == j ? 0 : p.network_hop_us);
-          cur = std::max(cur, arrival);
-          if (i != j) {
-            cur += p.batch_service_us +
-                   (kib(cum + b.bytes) - kib(cum)) * p.kb_service_us;
-            cum += b.bytes;
+  // Where each consumer's cursor starts: its scan completion when
+  // pipelined; under the barrier, the barrier arrival (rule 1), by which
+  // every batch bound for it is available, so its decodes run back to back.
+  std::vector<SimTime> consume_from = start;
+  if (barrier) {
+    for (int j = 0; j < n; ++j) {
+      SimTime& t = consume_from[static_cast<size_t>(j)];
+      t = std::max(t, out.producer_done[static_cast<size_t>(j)]);
+      for (int k = 0; k < nk; ++k) {
+        for (int i = 0; i < n; ++i) {
+          if (i != j &&
+              !chan[static_cast<size_t>(k)][static_cast<size_t>(i) * n + j]
+                   .empty()) {
+            t = std::max(t, out.producer_done[static_cast<size_t>(i)] +
+                                p.network_hop_us);
           }
-          b.pop = cur;
+        }
+      }
+    }
+  } else {
+    // Provisional drain times (plain arithmetic, no charges): each consumer
+    // walks its deterministic drain order; a batch is popped at
+    // max(cursor, availability + hop) plus its decode service. Used only to
+    // model the in-memory window occupancy for the spill decision below.
+    // Under the barrier no consumer runs during the send phase, so every
+    // pop stays kNever and the windows never drain (rule 2).
+    for (int j = 0; j < n; ++j) {
+      SimTime cur = start[static_cast<size_t>(j)];
+      size_t cum = 0;
+      for (int k = 0; k < nk; ++k) {
+        for (int i = 0; i < n; ++i) {
+          for (Batch& b : chan[static_cast<size_t>(k)]
+                              [static_cast<size_t>(i) * n + j]) {
+            cur = std::max(cur, b.avail + (i == j ? 0 : p.network_hop_us));
+            if (i != j) {
+              cur += batch_service(cum, b.bytes);
+              cum += b.bytes;
+            }
+            b.pop = cur;
+          }
         }
       }
     }
@@ -875,7 +806,7 @@ PipelinedSimResult SimulatePipelinedExchange(
         std::max(global_prod_end, out.producer_done[static_cast<size_t>(i)]);
   }
   for (int j = 0; j < n; ++j) {
-    SimTime cur = start[static_cast<size_t>(j)];
+    SimTime cur = consume_from[static_cast<size_t>(j)];
     size_t cum = 0;
     SimTime first = -1;
     for (int k = 0; k < nk; ++k) {
@@ -887,8 +818,7 @@ PipelinedSimResult SimulatePipelinedExchange(
             cur = std::max(cur, arrival);
             continue;
           }
-          SimTime service = p.batch_service_us +
-                            (kib(cum + b.bytes) - kib(cum)) * p.kb_service_us;
+          SimTime service = batch_service(cum, b.bytes);
           cum += b.bytes;
           SimTime done = scheduler->Charge(node_resources[static_cast<size_t>(j)],
                                            std::max(cur, arrival), service);
@@ -902,17 +832,20 @@ PipelinedSimResult SimulatePipelinedExchange(
                               SpillServiceTime(spilled_in[static_cast<size_t>(j)], p));
       out.modeled_spill_bytes += spilled_in[static_cast<size_t>(j)];
     }
-    // The consumer cannot finish draining a channel before observing its
-    // close, which the producer posts after its whole scatter.
-    for (int i = 0; i < n; ++i) {
-      cur = std::max(cur, out.producer_done[static_cast<size_t>(i)] +
-                              (i == j ? 0 : p.network_hop_us));
+    if (!barrier) {
+      // The consumer cannot finish draining a channel before observing its
+      // close, which the producer posts after its whole scatter (rule 3:
+      // the barrier has no such wait).
+      for (int i = 0; i < n; ++i) {
+        cur = std::max(cur, out.producer_done[static_cast<size_t>(i)] +
+                                (i == j ? 0 : p.network_hop_us));
+      }
+      if (first >= 0) {
+        out.overlap_us += std::max<SimTime>(0, global_prod_end - first);
+      }
     }
     out.ready[static_cast<size_t>(j)] = cur;
     out.first_consume[static_cast<size_t>(j)] = first >= 0 ? first : cur;
-    if (first >= 0) {
-      out.overlap_us += std::max<SimTime>(0, global_prod_end - first);
-    }
   }
   return out;
 }

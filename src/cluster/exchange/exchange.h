@@ -33,14 +33,15 @@
 /// behavior survives behind an opt-in strict mode (ExchangeSpillConfig::
 /// strict), and a shared SpillBudget bounds total on-disk bytes per query.
 ///
-/// The simulated latency model is consistent with the max-over-DNs scatter
-/// in cluster/distributed_plan.h: every node serializes+sends its outgoing
-/// traffic and decodes its incoming traffic as work on its own serialized
-/// resource (per-batch overhead + per-KiB payload cost, see LatencyModel),
-/// and the exchange completes on node j when the slowest contributing
-/// sender has finished plus one network hop — not the serial sum over
-/// nodes. Spilled bytes additionally charge a disk write + read per KiB on
-/// the receiving node's resource.
+/// Simulated latency comes from one replay of the producers' send logs
+/// (SimulateExchange): every node encodes its outgoing batches and decodes
+/// its incoming ones as work on its own serialized resource (per-batch
+/// overhead + per-KiB payload cost, see LatencyModel). The barrier and the
+/// pipelined schedule are two schedules of that replay. Under the barrier,
+/// node j starts decoding when the slowest sender shipping to it has
+/// finished plus one network hop — the max over senders, not the serial sum
+/// over nodes. Spilled bytes additionally charge a disk write + read per
+/// KiB on the receiving node's resource.
 #pragma once
 
 #include <atomic>
@@ -394,20 +395,12 @@ class ExchangeNetwork {
   /// Cross-node traffic (loopback excluded) — the bytes a real network moves.
   size_t CrossNodeBytes() const;
   size_t CrossNodeBatches() const;
-  /// Cross-node traffic leaving `src` / entering `dst`.
-  size_t OutBytes(int src) const;
-  size_t OutBatches(int src) const;
-  size_t InBytes(int dst) const;
-  size_t InBatches(int dst) const;
   /// Total payload denied across every channel (strict mode / spill budget).
   size_t DeniedBytes() const;
   /// Total payload spilled to disk across every channel (loopback included —
   /// the disk write is real even when the network hop is not).
   size_t SpilledBytes() const;
   size_t SpillSegments() const;
-  /// Spilled payload entering `dst` (loopback included), the bytes whose
-  /// disk write+read charge lands on the receiving node.
-  size_t SpilledInBytes(int dst) const;
   /// Total payload dropped by failed sends' rollback across every channel.
   size_t AbortedBytes() const;
 
@@ -461,7 +454,7 @@ class ScatterGuard {
 ///
 /// Not thread-safe: one StreamingScatter per producer task. The send log
 /// records every flushed batch in producer send order for the deterministic
-/// post-hoc latency replay (SimulatePipelinedExchange).
+/// post-hoc latency replay (SimulateExchange).
 class StreamingScatter {
  public:
   /// One flushed batch, in producer send order.
@@ -519,42 +512,36 @@ struct ExchangeLatencyParams {
   SimTime spill_read_kb_us = 4;   // per KiB read back from a spill file
 };
 
-/// Serialized service time for moving `bytes` in `batches` on one node.
-SimTime ExchangeServiceTime(size_t bytes, size_t batches,
-                            const ExchangeLatencyParams& p);
+/// Per-KiB service of `bytes` appended after `before` bytes already
+/// charged in the same stream: the cumulative KiB count telescopes, so a
+/// stream charged piece by piece pays ceil(total / 1 KiB) KiB in all, as
+/// one lump over the whole stream would.
+SimTime KibServiceTime(size_t before, size_t bytes, SimTime per_kib_us);
 
 /// Serialized service time for writing `bytes` to spill and reading them
 /// back (both halves are paid by the node that owns the spill file).
 SimTime SpillServiceTime(size_t bytes, const ExchangeLatencyParams& p);
 
-/// Charges one exchange step on the per-node serialized resources and
-/// returns, per node, the time its input rows are fully decoded and ready.
-/// Node i starts sending at start[i] (its scan completion); node j can start
-/// decoding once the slowest sender shipping to it has finished, plus one
-/// network hop — the max-over-senders structure that keeps the parallel
-/// exchange flat in N while a chained model grows linearly. Nodes with no
-/// cross-node input finish at max(start[j], own send completion). Spilled
-/// bytes entering node j (loopback included) additionally charge a disk
-/// write + read on j's resource. `nets` traffic is summed (a join
-/// repartitions two relations at once).
-std::vector<SimTime> SimulateExchange(
-    SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p);
+/// When consumers run relative to producers in the latency replay.
+enum class ExchangeSchedule : uint8_t {
+  /// Every producer finishes its scatter before any consumer decodes.
+  kBarrier,
+  /// Consumers decode each batch as soon as it arrives.
+  kPipelined,
+};
 
-/// One batch in a producer's send order, for the pipelined replay: which
-/// network (index into `nets`), which destination, how many payload bytes.
-struct PipelinedSendRec {
+/// One batch in a producer's send order: which network (index into
+/// `nets`), which destination, how many payload bytes.
+struct ExchangeSendRec {
   int net = 0;
   int dst = 0;
   size_t bytes = 0;
 };
 
-/// Result of the pipelined exchange replay (per node, indexes match
-/// node_resources).
-struct PipelinedSimResult {
-  /// Input fully decoded AND every producer observed closed — when the
-  /// consumer-side join/merge may start.
+/// Result of the exchange replay (per node, indexes match node_resources).
+struct ExchangeSimResult {
+  /// Input fully decoded (and, when pipelined, every producer observed
+  /// closed) — when the consumer-side join/merge may start.
   std::vector<SimTime> ready;
   /// Producer i finished encoding its last batch (its scatter frontier).
   std::vector<SimTime> producer_done;
@@ -563,7 +550,7 @@ struct PipelinedSimResult {
   std::vector<SimTime> first_consume;
   /// Sum over consumers of (global producer completion - first_consume),
   /// clamped at 0: the simulated time consumers ran while producers were
-  /// still producing. 0 under the barrier model by construction.
+  /// still producing. 0 under the barrier schedule.
   SimTime overlap_us = 0;
   /// Deterministically *modeled* spill under the channel caps (see below);
   /// the real spill counters stay on the channels but depend on thread
@@ -571,14 +558,15 @@ struct PipelinedSimResult {
   size_t modeled_spill_bytes = 0;
 };
 
-/// Replays a pipelined exchange deterministically after the (racy) real
-/// execution, charging per-batch work instead of one lump per node:
+/// The one exchange latency replay. It runs after the real execution,
+/// from the producers' send logs, so simulated time never depends on
+/// thread timing, and charges per-batch work on the per-node serialized
+/// resources:
 ///
 /// * Producer i charges each cross-node batch's encode cost sequentially on
-///   its own resource from start[i]; the charge uses telescoped cumulative
-///   KiB so the total equals the barrier model's ExchangeServiceTime.
-///   Loopback batches charge nothing (as in the barrier model) but advance
-///   availability.
+///   its own resource from start[i] (its scan completion). Loopback batches
+///   charge nothing but advance availability. A node's total is
+///   batches x batch_service_us plus its whole output's KiB (KibServiceTime).
 /// * Consumer j replays its deterministic drain order (net-major, then
 ///   source-node order, then send order); each cross-node batch's decode is
 ///   charged at max(consumer cursor, batch availability + one network hop) —
@@ -586,17 +574,33 @@ struct PipelinedSimResult {
 ///   serialize against each other (a DN cannot overlap with itself).
 /// * Channel caps are modeled (not measured): a batch spills iff the
 ///   in-memory window would overflow at its send time given the replayed
-///   drain times, or an earlier spilled batch is still on disk (FIFO);
-///   modeled spilled bytes charge SpillServiceTime on the receiver, like
-///   the barrier model. This keeps simulated latency deterministic even
-///   though the real spill counters race with the consumer.
-/// * ready[j] additionally waits for every producer's close (+hop for
-///   remote producers): the real consumer cannot finish a channel before
-///   observing its close.
-PipelinedSimResult SimulatePipelinedExchange(
+///   drain times, or an earlier spilled batch is still on disk (FIFO).
+///   Spilled bytes entering j (loopback included: the disk I/O is real even
+///   when the network hop is not) charge SpillServiceTime on j.
+/// * Pipelined: ready[j] also waits for every producer's close (+hop for
+///   remote producers), since the real consumer cannot finish a channel
+///   before observing its close. On a consumer with an empty inbound
+///   channel this can make ready[j] later than under the barrier.
+///
+/// The barrier schedule is the same replay with three rules changed:
+/// 1. Consumer j's first decode waits for the barrier arrival: the latest
+///    of start[j], j's own producer completion, and producer_done[i] + hop
+///    for every i != j that sent j at least one batch. Decodes then run
+///    back to back — the max-over-senders shape that keeps the exchange
+///    flat in N where a chained model grows linearly.
+/// 2. Capped windows never drain during the send phase: a batch spills when
+///    the queued bytes plus its own exceed the cap, and every later batch on
+///    a channel that has spilled spills too (ExchangeChannel::Send with no
+///    consumer running).
+/// 3. No close-wait on producers that send j nothing, and overlap_us is 0.
+///
+/// `nets` supply the channel caps; traffic over several networks is summed
+/// (a join repartitions two relations at once).
+ExchangeSimResult SimulateExchange(
     SimScheduler* scheduler, const std::vector<int>& node_resources,
     const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<std::vector<PipelinedSendRec>>& send_logs,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p);
+    const std::vector<std::vector<ExchangeSendRec>>& send_logs,
+    const std::vector<SimTime>& start, const ExchangeLatencyParams& p,
+    ExchangeSchedule schedule);
 
 }  // namespace ofi::cluster::exchange

@@ -92,13 +92,11 @@ class LatencyHistogram {
   std::vector<uint64_t> buckets_;
 };
 
-/// \brief A named bag of counters and histograms; the unit every component
-/// reports into and the autonomous DB reads out of.
+/// \brief A named bag of counters; the unit every component reports into
+/// and the autonomous DB reads out of.
 ///
-/// Counter operations are thread-safe (background maintenance like vacuum
-/// reports concurrently with the MPP coordinator). Histogram() hands out a
-/// reference into the registry: the lookup is guarded, but recording into
-/// the returned histogram is single-threaded by convention.
+/// Thread-safe: background maintenance like vacuum reports concurrently
+/// with the MPP coordinator.
 class MetricsRegistry {
  public:
   void Add(const std::string& counter, int64_t delta = 1) {
@@ -110,10 +108,6 @@ class MetricsRegistry {
     auto it = counters_.find(counter);
     return it == counters_.end() ? 0 : it->second;
   }
-  LatencyHistogram& Histogram(const std::string& name) {
-    std::lock_guard lock(mu_);
-    return histograms_[name];
-  }
   /// Snapshot of every counter (copy: safe to iterate while writers run).
   std::map<std::string, int64_t> counters() const {
     std::lock_guard lock(mu_);
@@ -122,13 +116,11 @@ class MetricsRegistry {
   void Reset() {
     std::lock_guard lock(mu_);
     counters_.clear();
-    histograms_.clear();
   }
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, int64_t> counters_;
-  std::map<std::string, LatencyHistogram> histograms_;
 };
 
 }  // namespace ofi

@@ -4,9 +4,11 @@
 /// when a consumer drained batches between the mark and the rollback (the
 /// producer-fails-mid-stream path), ScatterRows' framing against the
 /// EncodeBatch spec and ReceiveRows' drain order, and the deterministic
-/// pipelined latency replay (consumer frontier starts before the skewed
-/// producer's frontier ends). The concurrent stress cases run under tsan
-/// in CI via the sanitizer focus list (scripts/check.sh).
+/// latency replay: pipelined, the consumer frontier starts before the
+/// skewed producer's frontier ends; under the barrier schedule it equals
+/// the one-lump-per-node formula it replaced, on randomized traffic. The
+/// concurrent stress cases run under tsan in CI via the sanitizer focus
+/// list (scripts/check.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +25,8 @@ namespace fs = std::filesystem;
 
 using exchange::ExchangeChannel;
 using exchange::ExchangeNetwork;
+constexpr auto kBarrier = exchange::ExchangeSchedule::kBarrier;
+constexpr auto kPipelined = exchange::ExchangeSchedule::kPipelined;
 using sql::Row;
 using sql::Value;
 
@@ -349,9 +353,9 @@ TEST(ExchangePipelineTest, ReceiveRowsDrainsInSourceThenSendOrder) {
 /// Builds the skewed two-node traffic (node 0 ships `heavy` rows to node 1,
 /// node 1 ships a single light batch back) on a fresh network and returns
 /// the producer send logs (hash keys: even -> node 0, odd -> node 1).
-std::vector<std::vector<exchange::PipelinedSendRec>> SkewedTraffic(
+std::vector<std::vector<exchange::ExchangeSendRec>> SkewedTraffic(
     ExchangeNetwork* net, int heavy) {
-  std::vector<std::vector<exchange::PipelinedSendRec>> logs(2);
+  std::vector<std::vector<exchange::ExchangeSendRec>> logs(2);
   for (int src = 0; src < 2; ++src) {
     const int count = src == 0 ? heavy : 4;
     std::vector<Row> rows;
@@ -366,7 +370,7 @@ std::vector<std::vector<exchange::PipelinedSendRec>> SkewedTraffic(
     if (!log.ok()) continue;
     for (const auto& rec : *log) {
       logs[static_cast<size_t>(src)].push_back(
-          exchange::PipelinedSendRec{0, rec.dst, rec.bytes});
+          exchange::ExchangeSendRec{0, rec.dst, rec.bytes});
     }
   }
   return logs;
@@ -382,23 +386,25 @@ TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
   SimScheduler barrier_sched;
   barrier_sched.AddResource();
   barrier_sched.AddResource();
-  std::vector<SimTime> barrier_done = exchange::SimulateExchange(
-      &barrier_sched, resources, {&barrier_net}, start, p);
+  std::vector<SimTime> barrier_done =
+      exchange::SimulateExchange(&barrier_sched, resources, {&barrier_net},
+                                 barrier_logs, start, p, kBarrier)
+          .ready;
 
   ExchangeNetwork piped_net(2, /*batch_rows=*/8);
   auto logs = SkewedTraffic(&piped_net, /*heavy=*/400);
   SimScheduler sched;
   sched.AddResource();
   sched.AddResource();
-  exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
-      &sched, resources, {&piped_net}, logs, start, p);
+  exchange::ExchangeSimResult sim = exchange::SimulateExchange(
+      &sched, resources, {&piped_net}, logs, start, p, kPipelined);
 
   // The consumer frontier starts strictly before the slow producer's
-  // frontier ends — the overlap the barrier model forbids by construction.
+  // frontier ends — the overlap the barrier schedule forbids by construction.
   EXPECT_LT(sim.first_consume[1], sim.producer_done[0]);
   EXPECT_GT(sim.overlap_us, 0);
   // And the overlap translates into lower end-to-end readiness than the
-  // barrier replay of the identical traffic.
+  // barrier schedule of the identical traffic.
   EXPECT_LT(*std::max_element(sim.ready.begin(), sim.ready.end()),
             *std::max_element(barrier_done.begin(), barrier_done.end()));
 
@@ -407,8 +413,8 @@ TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
   SimScheduler sched2;
   sched2.AddResource();
   sched2.AddResource();
-  exchange::PipelinedSimResult again = exchange::SimulatePipelinedExchange(
-      &sched2, resources, {&piped_net}, logs, start, p);
+  exchange::ExchangeSimResult again = exchange::SimulateExchange(
+      &sched2, resources, {&piped_net}, logs, start, p, kPipelined);
   EXPECT_EQ(again.ready, sim.ready);
   EXPECT_EQ(again.producer_done, sim.producer_done);
   EXPECT_EQ(again.first_consume, sim.first_consume);
@@ -433,8 +439,8 @@ TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
   SimScheduler sched;
   sched.AddResource();
   sched.AddResource();
-  exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
-      &sched, resources, {&capped}, logs, start, p);
+  exchange::ExchangeSimResult sim = exchange::SimulateExchange(
+      &sched, resources, {&capped}, logs, start, p, kPipelined);
   EXPECT_GT(sim.modeled_spill_bytes, 0u);
 
   // Uncapped replay of the same traffic finishes no later than the capped
@@ -444,8 +450,8 @@ TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
   SimScheduler sched2;
   sched2.AddResource();
   sched2.AddResource();
-  exchange::PipelinedSimResult free_sim = exchange::SimulatePipelinedExchange(
-      &sched2, resources, {&uncapped}, free_logs, start, p);
+  exchange::ExchangeSimResult free_sim = exchange::SimulateExchange(
+      &sched2, resources, {&uncapped}, free_logs, start, p, kPipelined);
   EXPECT_EQ(free_sim.modeled_spill_bytes, 0u);
   EXPECT_LE(*std::max_element(free_sim.ready.begin(), free_sim.ready.end()),
             *std::max_element(sim.ready.begin(), sim.ready.end()));
@@ -457,6 +463,132 @@ TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
     ASSERT_TRUE(uncapped.ReceiveRows(dst, /*timeout_ms=*/1000).ok());
   }
   EXPECT_EQ(budget.used.load(), 0u);
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+}
+
+// --- Barrier schedule vs the lump formula -----------------------------------
+
+/// Reference copy of the barrier latency model the replay's barrier
+/// schedule replaced: one lump charge per node for all of its cross-node
+/// sends, then, per receiver, one lump for all of its decodes plus its
+/// spill I/O, starting once the slowest sender that shipped it a batch has
+/// finished plus one hop. Reads the networks' real channel counters.
+std::vector<SimTime> LumpBarrierReference(
+    SimScheduler* scheduler, const std::vector<int>& resources,
+    const std::vector<const ExchangeNetwork*>& nets,
+    const std::vector<SimTime>& start, const exchange::ExchangeLatencyParams& p) {
+  const int n = static_cast<int>(resources.size());
+  auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
+  auto lump = [&](size_t bytes, size_t batches) {
+    return static_cast<SimTime>(batches) * p.batch_service_us +
+           kib(bytes) * p.kb_service_us;
+  };
+  std::vector<SimTime> send_done(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    size_t bytes = 0, batches = 0;
+    for (const auto* net : nets) {
+      for (int dst = 0; dst < n; ++dst) {
+        if (dst == i) continue;
+        bytes += net->channel(i, dst).bytes();
+        batches += net->channel(i, dst).batches();
+      }
+    }
+    send_done[static_cast<size_t>(i)] = scheduler->Charge(
+        resources[static_cast<size_t>(i)], start[static_cast<size_t>(i)],
+        lump(bytes, batches));
+  }
+  std::vector<SimTime> done(static_cast<size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    SimTime arrival = std::max(start[static_cast<size_t>(j)],
+                               send_done[static_cast<size_t>(j)]);
+    size_t bytes = 0, batches = 0, spilled = 0;
+    for (const auto* net : nets) {
+      for (int i = 0; i < n; ++i) {
+        const ExchangeChannel& ch = net->channel(i, j);
+        spilled += ch.spilled_bytes();
+        if (i == j || ch.batches() == 0) continue;
+        bytes += ch.bytes();
+        batches += ch.batches();
+        arrival = std::max(arrival, send_done[static_cast<size_t>(i)] +
+                                        p.network_hop_us);
+      }
+    }
+    SimTime service = lump(bytes, batches);
+    if (spilled > 0) {
+      service += kib(spilled) * (p.spill_write_kb_us + p.spill_read_kb_us);
+    }
+    done[static_cast<size_t>(j)] = scheduler->Charge(
+        resources[static_cast<size_t>(j)], arrival, service);
+  }
+  return done;
+}
+
+TEST(ExchangePipelineTest, BarrierScheduleMatchesLumpFormula) {
+  fs::path dir = fs::path(::testing::TempDir()) / "ofi-barrier-replay";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  Rng rng(20261019);
+  const exchange::ExchangeLatencyParams p;
+  size_t spilling_sets = 0;
+  for (int set = 0; set < 400; ++set) {
+    SCOPED_TRACE("traffic set " + std::to_string(set));
+    const int n = static_cast<int>(rng.Uniform(1, 6));
+    const bool repartition = rng.Uniform(0, 1) == 1;
+    const size_t batch_rows = static_cast<size_t>(rng.Uniform(1, 16));
+    // Half the sets cap the channels low enough that most of them spill.
+    const size_t cap =
+        rng.Uniform(0, 1) == 1 ? static_cast<size_t>(rng.Uniform(64, 2048)) : 0;
+    exchange::SpillBudget budget;
+    exchange::ExchangeSpillConfig cfg{dir.string(), /*strict=*/false, &budget};
+    ExchangeNetwork left(n, batch_rows, cap, cfg);
+    ExchangeNetwork right(n, batch_rows, cap, cfg);
+    // Repartition moves both relations; broadcast moves one of them.
+    const bool broadcast_left = rng.Uniform(0, 1) == 1;
+    std::vector<std::vector<exchange::ExchangeSendRec>> logs(
+        static_cast<size_t>(n));
+    std::vector<SimTime> start(static_cast<size_t>(n));
+    for (int src = 0; src < n; ++src) {
+      start[static_cast<size_t>(src)] = rng.Uniform(0, 400);
+      for (int net_idx = 0; net_idx < 2; ++net_idx) {
+        if (!repartition && broadcast_left != (net_idx == 0)) continue;
+        // About one producer in four has no rows at all.
+        const int count =
+            rng.Uniform(0, 3) == 0 ? 0 : static_cast<int>(rng.Uniform(1, 90));
+        std::vector<Row> rows;
+        for (int r = 0; r < count; ++r) {
+          rows.push_back(MakeRow(
+              rng.Uniform(0, 1000),
+              std::string(static_cast<size_t>(rng.Uniform(0, 120)), 'x')));
+        }
+        auto log = exchange::ScatterRows(
+            net_idx == 0 ? &left : &right, src, rows,
+            repartition ? std::optional<size_t>(0) : std::nullopt);
+        ASSERT_TRUE(log.ok()) << log.status().ToString();
+        for (const auto& rec : *log) {
+          logs[static_cast<size_t>(src)].push_back(
+              exchange::ExchangeSendRec{net_idx, rec.dst, rec.bytes});
+        }
+      }
+    }
+    std::vector<int> resources(static_cast<size_t>(n));
+    SimScheduler ref_sched, sched;
+    for (int i = 0; i < n; ++i) {
+      resources[static_cast<size_t>(i)] = ref_sched.AddResource();
+      sched.AddResource();
+    }
+    const std::vector<SimTime> want =
+        LumpBarrierReference(&ref_sched, resources, {&left, &right}, start, p);
+    exchange::ExchangeSimResult got = exchange::SimulateExchange(
+        &sched, resources, {&left, &right}, logs, start, p, kBarrier);
+    EXPECT_EQ(got.ready, want);
+    EXPECT_EQ(got.overlap_us, 0);
+    // Rule 2: with no consumer running, the modeled spill is the real one.
+    EXPECT_EQ(got.modeled_spill_bytes, left.SpilledBytes() + right.SpilledBytes());
+    if (left.SpilledBytes() + right.SpilledBytes() > 0) ++spilling_sets;
+  }
+  // The capped half of the sets must really exercise the spill rule.
+  EXPECT_GT(spilling_sets, 100u);
   EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);
 }

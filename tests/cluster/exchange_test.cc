@@ -1,8 +1,8 @@
 /// Exchange subsystem units: the wire codec must round-trip every value
 /// type and reject corrupt input; the partition hash must be consistent
 /// with Value equality; ScatterRows (repartition and broadcast) must deliver
-/// deterministically with exact byte/batch accounting; the simulated exchange must keep the
-/// max-over-senders (not chained) shape.
+/// deterministically with exact byte/batch accounting; the barrier schedule
+/// of the latency replay must keep the max-over-senders (not chained) shape.
 #include "cluster/exchange/exchange.h"
 
 #include <gtest/gtest.h>
@@ -154,16 +154,45 @@ TEST(ExchangeNetworkTest, BroadcastReachesEveryNodeAndCountsCrossTraffic) {
   }
   // Loopback excluded from cross-node accounting: (n-1) copies move.
   EXPECT_EQ(net.CrossNodeBytes(), encoded * (n - 1));
-  EXPECT_EQ(net.OutBytes(1), encoded * (n - 1));
-  EXPECT_EQ(net.OutBytes(0), 0u);
-  EXPECT_EQ(net.InBytes(1), 0u);
-  EXPECT_EQ(net.InBytes(2), encoded);
+  // Per-node cross traffic, summed from the per-channel stats.
+  auto cross_bytes = [&](int src, int dst) {
+    size_t b = 0;
+    for (const auto& st : net.Stats()) {
+      if (st.src != st.dst && (src < 0 || st.src == src) &&
+          (dst < 0 || st.dst == dst)) {
+        b += st.bytes;
+      }
+    }
+    return b;
+  };
+  EXPECT_EQ(cross_bytes(1, -1), encoded * (n - 1));  // out of node 1
+  EXPECT_EQ(cross_bytes(0, -1), 0u);
+  EXPECT_EQ(cross_bytes(-1, 1), 0u);                 // into node 1
+  EXPECT_EQ(cross_bytes(-1, 2), encoded);
   // ceil(10/8) = 2 batches per destination.
   EXPECT_EQ(net.CrossNodeBatches(), 2u * (n - 1));
   // Stats cover every non-empty channel, loopback included.
   size_t stat_bytes = 0;
   for (const auto& s : net.Stats()) stat_bytes += s.bytes;
   EXPECT_EQ(stat_bytes, encoded * n);
+}
+
+// The barrier schedule of the one latency replay.
+std::vector<SimTime> BarrierReady(
+    SimScheduler* sched, const std::vector<int>& res,
+    const ExchangeNetwork& net,
+    const std::vector<std::vector<ExchangeSendRec>>& logs,
+    const std::vector<SimTime>& start, const ExchangeLatencyParams& p) {
+  return SimulateExchange(sched, res, {&net}, logs, start, p,
+                          ExchangeSchedule::kBarrier)
+      .ready;
+}
+
+std::vector<ExchangeSendRec> AsSendRecs(
+    const std::vector<StreamingScatter::SendRec>& log) {
+  std::vector<ExchangeSendRec> out;
+  for (const auto& rec : log) out.push_back(ExchangeSendRec{0, rec.dst, rec.bytes});
+  return out;
 }
 
 TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
@@ -175,11 +204,14 @@ TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
     ExchangeNetwork net(n, 64);
     std::vector<Row> rows;
     for (int64_t i = 0; i < 200; ++i) rows.push_back({Value(i), Value(i * 7)});
+    std::vector<std::vector<ExchangeSendRec>> logs;
     for (int src = 0; src < n; ++src) {
-      EXPECT_TRUE(ScatterRows(&net, src, rows, 0).ok());
+      auto log = ScatterRows(&net, src, rows, 0);
+      EXPECT_TRUE(log.ok());
+      logs.push_back(log.ok() ? AsSendRecs(*log) : std::vector<ExchangeSendRec>{});
     }
     std::vector<SimTime> start(static_cast<size_t>(n), 100);
-    auto done = SimulateExchange(&sched, res, {&net}, start, p);
+    auto done = BarrierReady(&sched, res, net, logs, start, p);
     SimTime max_done = 0;
     for (SimTime d : done) max_done = std::max(max_done, d);
     return max_done - 100;
@@ -196,8 +228,8 @@ TEST(ExchangeSimTest, NoTrafficChargesNothing) {
   std::vector<int> res = {sched.AddResource(), sched.AddResource()};
   ExchangeNetwork net(2, 64);
   std::vector<SimTime> start = {40, 60};
-  auto done = SimulateExchange(&sched, res, {&net}, start,
-                               ExchangeLatencyParams{});
+  auto done = BarrierReady(&sched, res, net, {{}, {}}, start,
+                           ExchangeLatencyParams{});
   EXPECT_EQ(done[0], 40);
   EXPECT_EQ(done[1], 60);
 }
@@ -213,14 +245,19 @@ TEST(ExchangeSimTest, ReceiverWaitsForSlowestSenderPlusHop) {
   const std::vector<Row> two = {{Value(int64_t{2})}};
   ASSERT_TRUE(net.channel(1, 0).Send(EncodeBatch(one, 0, 1)).ok());
   ASSERT_TRUE(net.channel(2, 0).Send(EncodeBatch(two, 0, 1)).ok());
-  std::vector<SimTime> start = {0, 0, 500};
-  auto done = SimulateExchange(&sched, res, {&net}, start, p);
   size_t batch_bytes = net.channel(1, 0).bytes();
-  SimTime send_service = ExchangeServiceTime(batch_bytes, 1, p);
+  std::vector<std::vector<ExchangeSendRec>> logs = {
+      {}, {{0, 0, batch_bytes}}, {{0, 0, batch_bytes}}};
+  std::vector<SimTime> start = {0, 0, 500};
+  auto done = BarrierReady(&sched, res, net, logs, start, p);
+  auto service = [&](size_t bytes, size_t batches) {
+    return static_cast<SimTime>(batches) * p.batch_service_us +
+           KibServiceTime(0, bytes, p.kb_service_us);
+  };
+  SimTime send_service = service(batch_bytes, 1);
   // Node 2 sends at 500..500+s; node 0 decodes after that + one hop.
   SimTime slowest_arrival = 500 + send_service + p.network_hop_us;
-  EXPECT_EQ(done[0],
-            slowest_arrival + ExchangeServiceTime(2 * batch_bytes, 2, p));
+  EXPECT_EQ(done[0], slowest_arrival + service(2 * batch_bytes, 2));
 }
 
 }  // namespace
