@@ -54,7 +54,7 @@ Status BuildColumnarShard(DataNode* dn, const std::string& name,
   // dump starts life in the delta tail.
   txn::Xid horizon = dn->txn_mgr().TakeSnapshot().xmin;
   shard->InstallBase(std::move(dump), &dn->txn_mgr().clog(), horizon,
-                     gtm.SafeHorizon(), heap->epoch());
+                     gtm.SafeHorizon());
   dn->RegisterColumnar(name, std::move(shard), listener);
   return Status::OK();
 }
@@ -94,11 +94,10 @@ storage::DeltaShard::MergeResult Cluster::RunMerge(
     int dn, const std::shared_ptr<storage::DeltaShard>& shard,
     const std::string& name, SimTime arrival) {
   DataNode* node = dns_[dn].get();
-  auto heap = node->GetTable(name);
-  if (!heap.ok()) return storage::DeltaShard::MergeResult{};
+  if (!node->GetTable(name).ok()) return storage::DeltaShard::MergeResult{};
   txn::Xid horizon = node->txn_mgr().TakeSnapshot().xmin;
   storage::DeltaShard::MergeResult res = shard->Merge(
-      node->txn_mgr().clog(), horizon, gtm_.SafeHorizon(), (*heap)->epoch());
+      node->txn_mgr().clog(), horizon, gtm_.SafeHorizon());
   if (res.changed()) {
     size_t work = res.folded + res.dropped;
     (void)ChargeDnMerge(dn, arrival, work);

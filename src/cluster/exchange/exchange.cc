@@ -395,24 +395,14 @@ Result<std::string> ExchangeChannel::PopLocked() {
   return batch;
 }
 
-Result<std::optional<std::string>> ExchangeChannel::PopBatch() {
-  std::lock_guard lock(mu_);
-  // A producer failure outranks queued payload: the stream is incomplete,
-  // so delivering its prefix would let a consumer act on partial data.
-  if (closed_ && !close_status_.ok()) return close_status_;
-  if (queue_.empty() && spill_segs_.empty()) {
-    return std::optional<std::string>();
-  }
-  OFI_ASSIGN_OR_RETURN(std::string batch, PopLocked());
-  return std::optional<std::string>(std::move(batch));
-}
-
 Result<std::optional<std::string>> ExchangeChannel::PopBatchWait(
     int64_t timeout_ms) {
   std::unique_lock lock(mu_);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (true) {
+    // A producer failure outranks queued payload: the stream is incomplete,
+    // so delivering its prefix would let a consumer act on partial data.
     if (closed_ && !close_status_.ok()) return close_status_;
     if (!queue_.empty() || !spill_segs_.empty()) {
       OFI_ASSIGN_OR_RETURN(std::string batch, PopLocked());

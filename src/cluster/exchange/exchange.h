@@ -224,19 +224,15 @@ class ExchangeChannel {
   /// Uncapped send (no limit, no spill).
   Status Send(std::string batch) { return Send(std::move(batch), SendLimits{}); }
 
-  /// Removes and returns the oldest queued batch (reading it back from the
-  /// spill file when the memory queue is empty); nullopt when the channel
-  /// is empty. Corruption when a spill segment cannot be read back whole.
-  /// Once the channel is closed with an error, every pop fails fast with
-  /// that status — a consumer never sees a silently truncated stream.
-  Result<std::optional<std::string>> PopBatch();
-
-  /// Blocking pop for pipelined consumers: waits (condition-variable
-  /// wakeup on Send/Close — no spinning) until a batch is available, the
-  /// channel is closed, or `timeout_ms` elapses. Returns the batch; nullopt
-  /// on clean end-of-stream (closed with OK and fully drained); the close
-  /// status when the producer failed (even if undelivered batches remain —
-  /// fail fast, never hand out a partial stream); TimedOut on deadline.
+  /// The one receive: removes and returns the oldest queued batch (reading
+  /// it back from the spill file when the memory queue is empty), waiting
+  /// (condition-variable wakeup on Send/Close — no spinning) until a batch
+  /// is available, the channel is closed, or `timeout_ms` elapses. Returns
+  /// the batch; nullopt on clean end-of-stream (closed with OK and fully
+  /// drained); the close status when the producer failed (even if
+  /// undelivered batches remain — fail fast, never hand out a partial
+  /// stream); Corruption when a spill segment cannot be read back whole;
+  /// TimedOut on deadline.
   Result<std::optional<std::string>> PopBatchWait(int64_t timeout_ms);
 
   /// Marks the stream complete. Close(OK) lets waiting consumers drain the

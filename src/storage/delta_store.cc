@@ -51,8 +51,7 @@ DeltaShard::FoldClass DeltaShard::Classify(txn::Xid xmin, txn::Xid xmax,
 }
 
 void DeltaShard::InstallBase(HeapDump dump, const txn::CommitLog* clog,
-                             txn::Xid local_horizon, txn::Gxid global_safe,
-                             uint64_t heap_epoch) {
+                             txn::Xid local_horizon, txn::Gxid global_safe) {
   struct SealEntry {
     sql::Value key;
     sql::Row row;
@@ -118,7 +117,6 @@ void DeltaShard::InstallBase(HeapDump dump, const txn::CommitLog* clog,
   for (size_t i = 0; i < delta_.size(); ++i) {
     delta_index_[delta_[i].key].push_back(i);
   }
-  heap_epoch_ = heap_epoch;
   ++version_;
   // Mutations that raced the build arrived after the dump: apply them now,
   // in heap order, before scans are allowed in.
@@ -228,8 +226,7 @@ DeltaShard::View DeltaShard::Snapshot(const txn::VisibilityChecker& vis) const {
 
 DeltaShard::MergeResult DeltaShard::Merge(const txn::CommitLog& clog,
                                           txn::Xid local_horizon,
-                                          txn::Gxid global_safe,
-                                          uint64_t heap_epoch) {
+                                          txn::Gxid global_safe) {
   std::lock_guard merge_lock(merge_mu_);
   MergeResult result;
 
@@ -405,9 +402,7 @@ DeltaShard::MergeResult DeltaShard::Merge(const txn::CommitLog& clog,
   for (size_t i = 0; i < delta_.size(); ++i) {
     delta_index_[delta_[i].key].push_back(i);
   }
-  heap_epoch_ = heap_epoch;
   ++version_;
-  ++merge_count_;
   return result;
 }
 

@@ -73,8 +73,7 @@ class DeltaShard {
   /// committed, pending deletes) lands in the tail. Listener events that
   /// raced the build are buffered and drained here, in heap order.
   void InstallBase(HeapDump dump, const txn::CommitLog* clog,
-                   txn::Xid local_horizon, txn::Gxid global_safe,
-                   uint64_t heap_epoch);
+                   txn::Xid local_horizon, txn::Gxid global_safe);
 
   /// The heap listener entry point. Runs under the heap's exclusive lock.
   void OnHeapChange(const HeapChange& change);
@@ -111,7 +110,7 @@ class DeltaShard {
   /// never lost. `local_horizon` is the DN's snapshot xmin (Vacuum's
   /// convention) and `global_safe` the GTM SafeHorizon at merge time.
   MergeResult Merge(const txn::CommitLog& clog, txn::Xid local_horizon,
-                    txn::Gxid global_safe, uint64_t heap_epoch);
+                    txn::Gxid global_safe);
 
   size_t delta_size() const {
     std::shared_lock lock(mu_);
@@ -120,16 +119,6 @@ class DeltaShard {
   size_t sealed_rows() const {
     std::shared_lock lock(mu_);
     return sealed_->sealed_rows();
-  }
-  /// Heap mutation epoch recorded at the last build/merge (bookkeeping —
-  /// freshness never falls back on it anymore).
-  uint64_t heap_epoch() const {
-    std::shared_lock lock(mu_);
-    return heap_epoch_;
-  }
-  uint64_t merges() const {
-    std::shared_lock lock(mu_);
-    return merge_count_;
   }
   const sql::Schema& schema() const { return schema_; }
 
@@ -178,8 +167,6 @@ class DeltaShard {
   bool ready_ = false;
   std::vector<HeapChange> pending_;  // events buffered until InstallBase
   uint64_t version_ = 0;             // bumped per install (merge validation)
-  uint64_t heap_epoch_ = 0;
-  uint64_t merge_count_ = 0;
 
   std::atomic<bool> merge_scheduled_{false};
 };

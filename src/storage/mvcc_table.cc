@@ -25,7 +25,6 @@ Status MvccTable::Insert(const sql::Value& key, sql::Row row, txn::Xid xid,
   }
   chain.push_back(TupleVersion{xid, txn::kInvalidXid, std::move(row)});
   ++num_versions_;
-  ++mutation_epoch_;
   if (HasListeners()) {
     HeapChange c;
     c.op = HeapChange::Op::kInsert;
@@ -56,7 +55,6 @@ Status MvccTable::Update(const sql::Value& key, sql::Row row, txn::Xid xid,
   const txn::Xid replaced_xmin = cur.xmin;
   it->second.push_back(TupleVersion{xid, txn::kInvalidXid, std::move(row)});
   ++num_versions_;
-  ++mutation_epoch_;
   if (HasListeners()) {
     HeapChange del;
     del.op = HeapChange::Op::kMarkDeleted;
@@ -86,7 +84,6 @@ Status MvccTable::Delete(const sql::Value& key, txn::Xid xid,
     return Status::Aborted("write-write conflict on " + key.ToString());
   }
   cur.xmax = xid;
-  ++mutation_epoch_;
   if (HasListeners()) {
     HeapChange c;
     c.op = HeapChange::Op::kMarkDeleted;
@@ -126,7 +123,6 @@ void MvccTable::RollbackXid(txn::Xid xid) {
       if (v.xmax == xid) v.xmax = txn::kInvalidXid;
     }
   }
-  ++mutation_epoch_;
   if (HasListeners()) {
     HeapChange c;
     c.op = HeapChange::Op::kClearXmaxAll;
@@ -142,7 +138,6 @@ void MvccTable::RollbackKey(const sql::Value& key, txn::Xid xid) {
   for (auto& v : it->second) {
     if (v.xmax == xid) v.xmax = txn::kInvalidXid;
   }
-  ++mutation_epoch_;
   if (HasListeners()) {
     HeapChange c;
     c.op = HeapChange::Op::kClearXmax;
@@ -175,7 +170,6 @@ size_t MvccTable::Vacuum(txn::Xid horizon, const txn::CommitLog& clog) {
     }
   }
   num_versions_ -= removed;
-  if (removed > 0) ++mutation_epoch_;
   return removed;
 }
 

@@ -124,14 +124,6 @@ class MvccTable {
     std::shared_lock lock(mu_);
     return num_versions_;
   }
-  /// Monotone counter bumped by every mutating call (Insert/Update/Delete/
-  /// Rollback*/Vacuum). Deletes only set xmax, so num_versions() cannot
-  /// detect them; the columnar side-store (cluster/data_node) compares
-  /// epochs to decide whether its chunks are stale.
-  uint64_t epoch() const {
-    std::shared_lock lock(mu_);
-    return mutation_epoch_;
-  }
 
  private:
   // Newest visible version index in a chain, or -1. Caller holds mu_.
@@ -144,11 +136,10 @@ class MvccTable {
   }
   bool HasListeners() const { return !listeners_.empty(); }
 
-  mutable std::shared_mutex mu_;  // guards chains_, num_versions_, epoch
+  mutable std::shared_mutex mu_;  // guards chains_, num_versions_
   sql::Schema schema_;
   std::unordered_map<sql::Value, std::vector<TupleVersion>> chains_;
   size_t num_versions_ = 0;
-  uint64_t mutation_epoch_ = 0;
   // Attached listeners, fired in attach order under the unique_lock.
   // A small vector keeps Notify allocation-free on the hot write path.
   std::vector<std::pair<ListenerId, HeapChangeListener>> listeners_;

@@ -20,6 +20,10 @@ using sql::Schema;
 using sql::TypeId;
 using sql::Value;
 
+// Pops here read channels that already hold a batch or are closed, so they
+// never wait; the deadline only bounds a broken test.
+constexpr int64_t kPopTimeoutMs = 1000;
+
 Row MakeRow(int64_t k, const std::string& pad) {
   return Row{Value(k), Value(pad)};
 }
@@ -50,15 +54,22 @@ TEST(ExchangeLimitTest, StrictChannelDeniesOverLimitSend) {
   EXPECT_EQ(ch.spilled_bytes(), 0u);
 
   // Draining frees the budget: the same batch fits afterwards.
-  auto popped = ch.PopBatch();
+  auto popped = ch.PopBatchWait(kPopTimeoutMs);
   ASSERT_TRUE(popped.ok());
   EXPECT_TRUE(popped->has_value());
-  auto end = ch.PopBatch();
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());  // exactly one batch was queued
   EXPECT_EQ(ch.queued_bytes(), 0u);
   ASSERT_TRUE(ch.Send(std::move(mid), limits).ok());
   EXPECT_EQ(ch.queued_bytes(), 60u);
+
+  // Closed, the channel delivers the re-sent batch and then ends: exactly
+  // one batch was queued at each step.
+  ch.Close();
+  auto resent = ch.PopBatchWait(kPopTimeoutMs);
+  ASSERT_TRUE(resent.ok());
+  EXPECT_TRUE(resent->has_value());
+  auto end = ch.PopBatchWait(kPopTimeoutMs);
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());
 }
 
 TEST(ExchangeLimitTest, CapWithNoSpillConfigDenies) {

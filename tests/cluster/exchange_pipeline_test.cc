@@ -77,8 +77,8 @@ TEST(ExchangePipelineTest, ErrorCloseFailsFastEvenWithQueuedBatches) {
   ASSERT_FALSE(waited.ok());
   EXPECT_NE(waited.status().ToString().find("producer died"),
             std::string::npos);
-  auto polled = ch.PopBatch();
-  ASSERT_FALSE(polled.ok());
+  auto again = ch.PopBatchWait(1000);
+  ASSERT_FALSE(again.ok());
 
   // First non-OK close wins; a later OK close never masks it.
   ch.Close();
@@ -126,21 +126,24 @@ TEST(ExchangePipelineTest, RollbackDropsOnlyPostMarkBatches) {
   // A consumer drains the pre-mark batch AND one post-mark batch before the
   // rollback lands — the count-based scheme this replaces would then have
   // dropped the wrong items.
-  ASSERT_EQ(**ch.PopBatch(), "aaaa");
-  ASSERT_EQ(**ch.PopBatch(), "bbbb");
+  ASSERT_EQ(**ch.PopBatchWait(1000), "aaaa");
+  ASSERT_EQ(**ch.PopBatchWait(1000), "bbbb");
 
   ch.RollbackTo(cp);
   // Only the undelivered post-mark batch is dropped; lifetime accounting
   // rewinds to the mark and the whole post-mark payload (drained or not)
   // lands in aborted_bytes.
-  EXPECT_FALSE(ch.PopBatch()->has_value());
+  EXPECT_EQ(ch.queued_bytes(), 0u);
   EXPECT_EQ(ch.bytes(), 4u);
   EXPECT_EQ(ch.batches(), 1u);
   EXPECT_EQ(ch.aborted_bytes(), 8u);
 
-  // The channel stays usable: a retry's sends flow normally.
+  // The channel stays usable: a retry's sends flow normally, and once
+  // closed it ends right after them (the dropped batch never resurfaces).
   ASSERT_TRUE(ch.Send("dddd").ok());
-  EXPECT_EQ(**ch.PopBatch(), "dddd");
+  ch.Close();
+  EXPECT_EQ(**ch.PopBatchWait(1000), "dddd");
+  EXPECT_FALSE(ch.PopBatchWait(1000)->has_value());
   EXPECT_EQ(ch.bytes(), 8u);
 }
 
@@ -164,15 +167,16 @@ TEST(ExchangePipelineTest, RollbackWithSpilledSegmentsAndInterleavedPops) {
     EXPECT_EQ(ch.spill_segments(), 3u);
 
     // Consumer drains one pre-mark batch concurrently with the "failure".
-    ASSERT_EQ(**ch.PopBatch(), std::string(20, 'a'));
+    ASSERT_EQ(**ch.PopBatchWait(1000), std::string(20, 'a'));
 
     ch.RollbackTo(cp);
     EXPECT_EQ(ch.bytes(), 40u);
     EXPECT_EQ(ch.aborted_bytes(), 40u);
     EXPECT_EQ(budget.used.load(), 20u);  // only the pre-mark segment remains
     // The surviving pre-mark payload is still deliverable, in order.
-    ASSERT_EQ(**ch.PopBatch(), std::string(20, 'b'));
-    EXPECT_FALSE(ch.PopBatch()->has_value());
+    ch.Close();
+    ASSERT_EQ(**ch.PopBatchWait(1000), std::string(20, 'b'));
+    EXPECT_FALSE(ch.PopBatchWait(1000)->has_value());
     EXPECT_EQ(budget.used.load(), 0u);
   }
   EXPECT_TRUE(fs::is_empty(dir));
@@ -254,10 +258,12 @@ TEST(ExchangePipelineTest, ProducerFailsMidStreamWhileConsumerDrains) {
 
 // --- ScatterRows framing ----------------------------------------------------
 
+/// Closes the src->dst channel and pops every batch it holds.
 std::vector<std::string> DrainAll(ExchangeNetwork* net, int src, int dst) {
   std::vector<std::string> batches;
+  net->channel(src, dst).Close();
   while (true) {
-    auto b = net->channel(src, dst).PopBatch();
+    auto b = net->channel(src, dst).PopBatchWait(1000);
     EXPECT_TRUE(b.ok());
     if (!b->has_value()) break;
     batches.push_back(std::move(**b));

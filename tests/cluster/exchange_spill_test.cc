@@ -25,8 +25,8 @@ using sql::Schema;
 using sql::TypeId;
 using sql::Value;
 
-// Receives in this suite read channels their producers already closed, so
-// they never wait; the deadline only bounds a broken test.
+// Receives in this suite read channels that already hold the batch they pop
+// or are closed, so they never wait; the deadline only bounds a broken test.
 constexpr int64_t kTimeoutMs = 1000;
 
 Row MakeRow(int64_t k, const std::string& pad) {
@@ -86,14 +86,11 @@ TEST_F(ExchangeSpillTest, ChannelSpillPreservesSendOrder) {
 
   // Receive order is exactly send order, memory window first.
   for (int i = 0; i < 8; ++i) {
-    auto batch = ch.PopBatch();
+    auto batch = ch.PopBatchWait(kTimeoutMs);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_TRUE(batch->has_value());
     EXPECT_EQ(**batch, sent[static_cast<size_t>(i)]) << i;
   }
-  auto end = ch.PopBatch();
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());
 
   // Consuming the last segment freed the budget and deleted the file.
   EXPECT_EQ(budget.used.load(), 0u);
@@ -103,6 +100,16 @@ TEST_F(ExchangeSpillTest, ChannelSpillPreservesSendOrder) {
   // The channel is reusable after a full drain: memory path again.
   ASSERT_TRUE(ch.Send(std::string(10, 'z'), limits).ok());
   EXPECT_EQ(ch.queued_bytes(), 10u);
+
+  // Closed, it delivers that batch and then ends: nothing else was queued.
+  ch.Close();
+  auto reused = ch.PopBatchWait(kTimeoutMs);
+  ASSERT_TRUE(reused.ok());
+  ASSERT_TRUE(reused->has_value());
+  EXPECT_EQ(**reused, std::string(10, 'z'));
+  auto end = ch.PopBatchWait(kTimeoutMs);
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());
 }
 
 TEST_F(ExchangeSpillTest, DiscardDeletesSpillAndRollsBackAccounting) {
@@ -150,16 +157,20 @@ TEST_F(ExchangeSpillTest, SpillBudgetExhaustionDenies) {
   ASSERT_TRUE(ch.Send(std::string(20, 'd'), limits).ok());  // fits, 50/50
 
   // Draining releases the budget as segments are consumed.
+  ch.Close();
   size_t drained = 0;
   while (true) {
-    auto batch = ch.PopBatch();
+    auto batch = ch.PopBatchWait(kTimeoutMs);
     ASSERT_TRUE(batch.ok());
     if (!batch->has_value()) break;
     ++drained;
   }
   EXPECT_EQ(drained, 3u);
   EXPECT_EQ(budget.used.load(), 0u);
-  ASSERT_TRUE(ch.Send(std::string(30, 'e'), limits).ok());
+  // The released budget takes a new spill (30 bytes over the 16-byte
+  // window) on a channel that shares it.
+  exchange::ExchangeChannel next;
+  ASSERT_TRUE(next.Send(std::string(30, 'e'), limits).ok());
 }
 
 TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
@@ -252,9 +263,10 @@ TEST_F(ExchangeSpillTest, TruncatedSpillSegmentIsCorruption) {
   // Truncate the segment behind the channel's back (torn write / bad disk).
   fs::resize_file(ch.spill_path(), 10);
 
-  auto mem = ch.PopBatch();
+  ch.Close();
+  auto mem = ch.PopBatchWait(kTimeoutMs);
   ASSERT_TRUE(mem.ok());  // the resident batch is unaffected
-  auto spilled = ch.PopBatch();
+  auto spilled = ch.PopBatchWait(kTimeoutMs);
   ASSERT_FALSE(spilled.ok());
   EXPECT_EQ(spilled.status().code(), StatusCode::kCorruption);
 }

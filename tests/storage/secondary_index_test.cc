@@ -311,7 +311,7 @@ TEST(SecondaryIndexTest, CoexistsWithDeltaStoreListener) {
       [shard](const HeapChange& c) { shard->OnHeapChange(c); },
       &delta_listener);
   shard->InstallBase(std::move(dump2), &mgr.clog(),
-                     mgr.TakeSnapshot().xmin, txn::kNoGxid, table.epoch());
+                     mgr.TakeSnapshot().xmin, txn::kNoGxid);
 
   auto write = [&](int64_t k) {
     txn::Xid xid = mgr.Begin();
