@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/wrap_int.h"
+
 namespace ofi::sql {
 namespace {
 
@@ -331,7 +333,7 @@ Result<Table> Executor::ExecAggregate(const PlanNode* node) {
           } else if (acc.type() == TypeId::kDouble || v.type() == TypeId::kDouble) {
             acc = Value(acc.AsDouble() + v.AsDouble());
           } else {
-            acc = Value(acc.AsInt() + v.AsInt());
+            acc = Value(WrapAdd(acc.AsInt(), v.AsInt()));
           }
           break;
         case AggFunc::kMin:
