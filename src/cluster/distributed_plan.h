@@ -76,9 +76,11 @@ enum class DistOpKind : uint8_t {
 };
 
 /// Planner's scan-path choice. kColumnar means "serve from the columnar
-/// copy where possible": the executor still re-checks filter
-/// recognizability at run time and falls back to the row store per shard
-/// (results are identical either way).
+/// copy where possible": the executor re-checks filter recognizability
+/// once per fragment at run time and scans every shard from the row store
+/// when the filter is not kernel-evaluable (results are identical either
+/// way). Freshness never forces the row store: each shard unions its
+/// sealed chunks with its delta tail.
 enum class ScanPath : uint8_t { kRow, kColumnar };
 
 /// Data-movement annotation on a join input. kNone = the relation stays
@@ -141,8 +143,8 @@ struct DistOp {
   /// "columnar(grouped-kernel)", "columnar(materialize:agg)" or
   /// "row(filter not recognized)". Empty = nothing noteworthy (plain row
   /// scan of a table with no columnar copy). Predictive — the executor
-  /// still re-checks per shard and may fall back (see DistExecStats::per_dn
-  /// for what actually ran).
+  /// re-checks the filter and the table's columnar registration when it
+  /// runs (see DistExecStats::per_dn for what actually ran).
   std::string scan_detail;
 
   /// Physical-tree rendering for EXPLAIN (same indent style as
@@ -241,8 +243,10 @@ struct DistExecStats {
   /// Bytes a naive plan — ship every (filtered) row to one node — would
   /// have moved.
   size_t naive_bytes = 0;
-  /// Shards served from the columnar store (0 = pure row path).
+  /// Shard scans served from the columnar store, over every scanned table
+  /// (0 = pure row path).
   size_t columnar_shards = 0;
+  /// Sum of per_dn[].stats.
   storage::ScanStats scan_stats;
   /// What each DN actually did for each scanned table (`path` is the
   /// realized flavor, e.g. "columnar(grouped-kernel)" or "row(filter)") with

@@ -380,7 +380,8 @@ const std::vector<GoldenCase>& Cases() {
                        {AggFunc::kSum, "amount", "s"}});
        },
        false,
-       "sim=432 dns=4 bytes=264/361774/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "sim=432 dns=4 bytes=264/361774/0 col=4 "
+       "scan=[c40/20/20 d42386 m8907 mo4 dt40 "
        "ix0] dn0:sales:columnar(materialize)[c10/5/5 d10593 m2226 mo1 dt10 "
        "ix0] dn1:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
        "ix0] dn2:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
@@ -482,7 +483,8 @@ const std::vector<GoldenCase>& Cases() {
                        {AggFunc::kSum, "amount", "s"}});
        },
        false,
-       "sim=424 dns=4 bytes=264/361774/0 col=0 scan=[c0/0/0 d0 m0 mo0 dt0 "
+       "sim=424 dns=4 bytes=264/361774/0 col=4 "
+       "scan=[c40/20/20 d42386 m8907 mo4 dt40 "
        "ix0] dn0:sales:columnar(materialize)[c10/5/5 d10593 m2226 mo1 dt10 "
        "ix0] dn1:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
        "ix0] dn2:sales:columnar(materialize)[c10/5/5 d10598 m2227 mo1 dt10 "
@@ -552,6 +554,10 @@ TEST_P(LeafFragmentGoldenTest, MatchesGolden) {
   auto res = ExecuteDistPlan(cluster_, gc.plan(cluster_), opts);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(Fingerprint(*res), gc.golden);
+  // The run's scan totals are the sum of its per-DN records.
+  storage::ScanStats per_dn_sum;
+  for (const auto& info : res->stats.per_dn) per_dn_sum.MergeFrom(info.stats);
+  EXPECT_EQ(StatsString(res->stats.scan_stats), StatsString(per_dn_sum));
 
   // Scatter mode is execution detail: the inline scatter pins the same line.
   cluster_->ResetSimTime();
